@@ -78,3 +78,22 @@ func BenchmarkDisparateImpactSweep16(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDisparitySweepFullK is a 64-point disparity sweep to k=1 on the
+// 80k school cohort, the shape of the whatif workload's school sweep: its
+// top cut needs the whole ranking, so every op pays one full-population
+// sort. Guarded by cmd/benchguard in CI (reference: BENCH_sweep.json).
+func BenchmarkDisparitySweepFullK(b *testing.B) {
+	ev, pts := benchSweep(b)
+	full := make([]SweepPoint, 64)
+	for i := range full {
+		full[i] = SweepPoint{Bonus: pts[0].Bonus, K: float64(i+1) / 64}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ev.DisparitySweep(full); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package rank
 import (
 	"context"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -23,11 +22,10 @@ const DefaultMaxComboRuns = 2048
 // fairness rows. Because the compensated score is f(o) + sign·(A_f·B),
 // every member of a run receives the *same* bonus total under every
 // bonus vector B: a bonus shifts a whole run by one constant offset and
-// can never reorder the run internally. Each run is therefore sorted
+// can never reorder the run internally. Each run is therefore ordered
 // once, at construction, by the base-score total order (base descending,
-// id ascending — the exact comparator of Order/SortRanked), and the
-// ranking under any bonus is recovered by a g-way merge of the offset
-// runs.
+// id ascending — the ranking of Order/SortRanked), and the ranking under
+// any bonus is recovered by a g-way merge of the offset runs.
 //
 // A ComboRuns is immutable after construction and safe for concurrent
 // use; per-request mutable state lives in MergeScratch.
@@ -45,10 +43,11 @@ type ComboRuns struct {
 	buildCost time.Duration
 }
 
-// NewComboRuns partitions d by distinct fairness row and pre-sorts each
-// run by base score. It returns nil when the structure cannot help:
-// more than maxRuns distinct rows (maxRuns <= 0 means DefaultMaxComboRuns),
-// a non-finite base score, or a population too large for int32 ids.
+// NewComboRuns partitions d by distinct fairness row and orders each run
+// by base score, dealing one ranking of base into the runs. It returns nil
+// when the structure cannot help: more than maxRuns distinct rows
+// (maxRuns <= 0 means DefaultMaxComboRuns), a non-finite base score, or a
+// population too large for int32 ids.
 // base is retained only during construction.
 func NewComboRuns(d *dataset.Dataset, base []float64, maxRuns int) *ComboRuns {
 	if maxRuns <= 0 {
@@ -78,33 +77,22 @@ func NewComboRuns(d *dataset.Dataset, base []float64, maxRuns int) *ComboRuns {
 		reps:    reps,
 		comboOf: comboOf,
 	}
-	// Counting sort of ids into contiguous runs.
+	// Run boundaries from the run sizes.
 	for _, r := range comboOf {
 		c.starts[r+1]++
 	}
 	for r := 1; r <= g; r++ {
 		c.starts[r] += c.starts[r-1]
 	}
+	// Deal one ranking of the base scores into the runs: a stable
+	// counting pass keeps each run in the exact full-ranking order (base
+	// descending, ties by ascending id) with no per-run sort.
 	next := make([]int32, g)
 	copy(next, c.starts[:g])
-	for i := 0; i < n; i++ {
-		r := comboOf[i]
-		c.ids[next[r]] = int32(i)
+	for _, id := range Order(base) {
+		r := comboOf[id]
+		c.ids[next[r]] = int32(id)
 		next[r]++
-	}
-	// Sort each run under the exact full-ranking comparator (base
-	// descending, ties by ascending id), then align the base column.
-	for r := 0; r < g; r++ {
-		seg := c.ids[c.starts[r]:c.starts[r+1]]
-		slices.SortFunc(seg, func(a, b int32) int {
-			if base[a] != base[b] {
-				if base[a] > base[b] {
-					return -1
-				}
-				return 1
-			}
-			return int(a - b)
-		})
 	}
 	c.posOf = make([]int32, n)
 	for p, id := range c.ids {
@@ -127,7 +115,7 @@ type RunStats struct {
 	MinLen    int           // smallest run
 	MedianLen int           // median run length
 	MaxLen    int           // largest run
-	BuildCost time.Duration // one-time partition + per-run sort cost
+	BuildCost time.Duration // one-time partition + ranking cost
 }
 
 // Stats reports run-count and run-length statistics plus the one-time

@@ -5,15 +5,27 @@
 // three interchangeable algorithms (full sort, quickselect, bounded heap)
 // for the selection-strategy ablation.
 //
+// Every full ranking (Order, OrderInto, and SortRanked on a subset of at
+// least radixMin = 1024 ids) runs on an LSD radix kernel over
+// order-preserving uint64 score keys, ties broken by ascending id through
+// stable id passes. On the 80k school cohort it ranks everyone in about
+// 3 ms, against about 16 ms for the comparator sort it replaced (Intel
+// Xeon @ 2.10GHz, go1.24; BENCH_rank.json). The ranking is unique
+// (the comparator is a total order on non-NaN scores), so the kernel's
+// output is the comparator's exactly; smaller inputs and any input with a
+// NaN score take the comparator sort itself. The kernel's scratch comes
+// from a sync.Pool and is never held by a long-lived object.
+//
 // On top of the per-request selectors sits ComboRuns, the combo-run merge
 // structure: the population is partitioned once by distinct fairness-
-// attribute combination into g runs, each pre-sorted by (base score desc,
-// id asc). Because a bonus vector shifts every member of a run by the same
-// constant, any top-k prefix under any bonus is an exact g-way bounded-heap
-// merge of the pre-sorted runs — O(k log g) per request instead of a
-// population-wide O(n log n) sort, bit-identical to the full sort including
-// tie-breaking (equal-effective-score head groups are re-emitted in
-// ascending id order, covering the rounding-collapse case where adding the
-// run offset makes distinct bases equal). RankOf answers one object's exact
-// rank by binary search per run.
+// attribute combination into g runs, each ordered by (base score desc,
+// id asc) by dealing one ranking of the base scores into the runs.
+// Because a bonus vector shifts every member of a run by the same
+// constant, any top-k prefix under any bonus is an exact g-way
+// bounded-heap merge of the pre-sorted runs — O(k log g) per request
+// instead of a population-wide scoring pass and ranking, bit-identical to
+// the full sort including tie-breaking (equal-effective-score head groups
+// are re-emitted in ascending id order, covering the rounding-collapse
+// case where adding the run offset makes distinct bases equal). RankOf
+// answers one object's exact rank by binary search per run.
 package rank

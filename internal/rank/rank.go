@@ -211,7 +211,14 @@ func OrderInto(scores []float64, idx []int) []int {
 // indices hold in the full ranking — which is what lets a top-k selection
 // (e.g. from TopKHeapInto) be turned into the ranking's leading prefix
 // without sorting the whole population.
+//
+// From radixMin entries up the sort is the radix kernel, which yields the
+// same unique ranking in linear time; smaller inputs, and any input with a
+// NaN score, take the comparator sort.
 func SortRanked(scores []float64, idx []int) {
+	if len(idx) >= radixMin && radixRankInto(scores, idx) {
+		return
+	}
 	slices.SortFunc(idx, func(a, b int) int {
 		if a == b {
 			return 0

@@ -12,7 +12,9 @@ import (
 	"fairrank/internal/rank"
 )
 
-// DefaultCacheSize is the default capacity of the train-result LRU.
+// DefaultCacheSize is the default entry capacity of the server's one LRU,
+// which holds train results, sweep rows, counterfactual rows, audit
+// bundles and baseline disparities alike.
 const DefaultCacheSize = 1024
 
 // Timeouts carries the per-endpoint request deadlines. A zero field means
@@ -30,8 +32,10 @@ type Timeouts struct {
 // Config parameterizes a Server. The zero value is usable: defaults are
 // applied in New.
 type Config struct {
-	// CacheSize is the capacity of the train-result LRU; 0 means
-	// DefaultCacheSize, negative disables caching.
+	// CacheSize is the entry capacity of the response LRU (train results,
+	// sweep rows, counterfactual rows, audit bundles and baseline
+	// disparities share it); 0 means DefaultCacheSize, negative disables
+	// caching.
 	CacheSize int
 	// TrainerPoolSize caps the idle trainers retained per dataset; 0 means
 	// GOMAXPROCS. Live trainers (in-flight requests) are bounded at twice
