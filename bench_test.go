@@ -11,6 +11,7 @@
 package fairrank_test
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -98,6 +99,35 @@ func benchTrain(b *testing.B, n int) {
 
 func BenchmarkDCATrain20k(b *testing.B) { benchTrain(b, 20_000) }
 func BenchmarkDCATrain80k(b *testing.B) { benchTrain(b, 80_000) }
+
+// BenchmarkTrainerWarm80k trains the way fairrankd does: one held Trainer
+// (base scores and workspace already paid for), a cancellable request
+// context and a fresh seed per run, so it measures the descent and its
+// sample schedule alone.
+func BenchmarkTrainerWarm80k(b *testing.B) {
+	cfg := fairrank.DefaultSchoolConfig()
+	cfg.N = 80_000
+	d, err := fairrank.GenerateSchool(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := fairrank.NewTrainer(d, fairrank.WeightedSum{Weights: fairrank.SchoolScoreWeights()})
+	obj := fairrank.DisparityObjective(0.05)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := fairrank.DefaultOptions()
+	if _, err := tr.TrainCtx(ctx, obj, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Seed = int64(i + 2)
+		if _, err := tr.TrainCtx(ctx, obj, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // Ensemble training cost (the engine's concurrent evaluation layer: one
 // workspace per worker goroutine, shared base scores).

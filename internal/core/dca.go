@@ -161,10 +161,13 @@ func Scale(b []float64, w, granularity float64) []float64 {
 // precomputes the base scores and owns an engine.Workspace, so repeated
 // runs — the interactive what-if iteration of the paper, ensemble members,
 // parameter sweeps — share buffers and allocate (almost) nothing per
-// descent step.
+// descent step. The sampler's n-sized scratch is not the Trainer's: each
+// run borrows it from the sample package's pool and returns it.
 //
 // A Trainer is not safe for concurrent use: it owns a single workspace.
-// Create one per goroutine (Ensemble does exactly that).
+// Create one per goroutine (Ensemble does exactly that). A run may draw
+// its samples on a helper goroutine (see sample.Schedule); the helper has
+// exited by the time the run returns.
 type Trainer struct {
 	d      *dataset.Dataset
 	scorer rank.Scorer
@@ -234,14 +237,16 @@ func (t *Trainer) TrainCtx(ctx context.Context, obj Objective, opts Options) (Re
 	if err != nil {
 		return Result{}, err
 	}
-	smp := sample.New(t.d.N(), opts.Seed)
+	smp := sample.Acquire(t.d.N(), opts.Seed)
+	defer smp.Release() // also waits for the schedule's prefetch helper
 	b := initBonus(t.d, smp, opts)
 	loop := t.loop(ctx, bound, opts)
 
-	sampleBuf := t.ws.SampleBuf(opts.SampleSize)
+	// Past initBonus the stream feeds only the sample schedule, so it can
+	// be drawn ahead of the descent (see sample.Schedule).
+	sched := smp.Schedule(opts.SampleSize, opts.Ladder.TotalSteps(), opts.RefineSteps)
 	ladder := engine.NewLadderUpdater(opts.Ladder, opts.Polarity.Sign())
-	steps, err := loop.Descend(b, opts.Ladder.TotalSteps(),
-		func() []int { return smp.UniformInto(sampleBuf) }, ladder, "core")
+	steps, err := loop.Descend(b, opts.Ladder.TotalSteps(), sched.Next, ladder, "core")
 	if err != nil {
 		return Result{}, err
 	}
@@ -249,8 +254,7 @@ func (t *Trainer) TrainCtx(ctx context.Context, obj Objective, opts Options) (Re
 
 	if opts.RefineSteps > 0 {
 		adam := engine.NewAdamUpdater(t.d.NumFair(), opts.RefineLR, opts.Polarity.Sign(), opts.RefineSteps, opts.AverageWindow)
-		rsteps, err := loop.Descend(b, opts.RefineSteps,
-			func() []int { return smp.Next(opts.SampleSize) }, adam, "refine")
+		rsteps, err := loop.Descend(b, opts.RefineSteps, sched.Next, adam, "refine")
 		if err != nil {
 			return Result{}, err
 		}
@@ -296,8 +300,9 @@ func (t *Trainer) TrainFullCtx(ctx context.Context, obj Objective, opts Options)
 	if err != nil {
 		return Result{}, err
 	}
-	smp := sample.New(t.d.N(), opts.Seed)
+	smp := sample.Acquire(t.d.N(), opts.Seed)
 	b := initBonus(t.d, smp, opts)
+	smp.Release()
 
 	all := t.ws.SampleBuf(t.d.N())
 	for i := range all {

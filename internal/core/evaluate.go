@@ -92,7 +92,7 @@ func NewEvaluator(d *dataset.Dataset, scorer rank.Scorer, pol rank.Polarity) *Ev
 			}
 		}
 	}
-	e.runs = rank.NewComboRuns(d, base, 0)
+	e.runs = rank.NewComboRunsOrdered(d, base, e.origOrd, 0)
 	e.pool.New = func() any { return engine.NewWorkspace(d.NumFair()) }
 	return e
 }

@@ -50,11 +50,19 @@ type ComboRuns struct {
 // population too large for int32 ids.
 // base is retained only during construction.
 func NewComboRuns(d *dataset.Dataset, base []float64, maxRuns int) *ComboRuns {
+	return NewComboRunsOrdered(d, base, nil, maxRuns)
+}
+
+// NewComboRunsOrdered is NewComboRuns for a caller that already holds
+// order = Order(base), such as an evaluator caching its base order: the
+// runs are dealt from order instead of ranking base again. A nil order
+// ranks base here. Neither slice is retained.
+func NewComboRunsOrdered(d *dataset.Dataset, base []float64, order []int, maxRuns int) *ComboRuns {
 	if maxRuns <= 0 {
 		maxRuns = DefaultMaxComboRuns
 	}
 	n := d.N()
-	if n == 0 || n > math.MaxInt32 || len(base) != n {
+	if n == 0 || n > math.MaxInt32 || len(base) != n || (order != nil && len(order) != n) {
 		return nil
 	}
 	for _, v := range base {
@@ -89,7 +97,10 @@ func NewComboRuns(d *dataset.Dataset, base []float64, maxRuns int) *ComboRuns {
 	// descending, ties by ascending id) with no per-run sort.
 	next := make([]int32, g)
 	copy(next, c.starts[:g])
-	for _, id := range Order(base) {
+	if order == nil {
+		order = Order(base)
+	}
+	for _, id := range order {
 		r := comboOf[id]
 		c.ids[next[r]] = int32(id)
 		next[r]++
@@ -115,7 +126,7 @@ type RunStats struct {
 	MinLen    int           // smallest run
 	MedianLen int           // median run length
 	MaxLen    int           // largest run
-	BuildCost time.Duration // one-time partition + ranking cost
+	BuildCost time.Duration // one-time partition cost, plus the base ranking when built without an order
 }
 
 // Stats reports run-count and run-length statistics plus the one-time

@@ -4,4 +4,13 @@
 // every descent step; Algorithm 2 consumes "the next sample in O",
 // i.e. walks the dataset in randomized epochs. Both are provided here with
 // explicit seeding so every experiment in the repository is reproducible.
+//
+// A train draws through a Schedule: its uniform draws, then its epoch
+// draws, in step order. The schedule reads only the seeded stream, so
+// while (trains in flight) × 2 ≤ GOMAXPROCS a helper goroutine draws it
+// one chunk ahead of the descent into a small ring; otherwise the train
+// fills the same chunks inline. Both give every step the same draw.
+// Acquire and Release take the sampler's generator, displacement table,
+// epoch permutation and ring from a package sync.Pool and return them,
+// so a warm train allocates nothing sized by the population.
 package sample

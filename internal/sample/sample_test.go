@@ -1,6 +1,9 @@
 package sample
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -146,14 +149,14 @@ func TestNextPanicsWhenOversampling(t *testing.T) {
 	New(2, 1).Next(3)
 }
 
-// TestUniformIntoGenerationWrap forces the generation stamp to wrap and
-// checks that stale displacement entries from before the wrap cannot
-// collide with fresh ones. Before the wrap was handled, the counter
-// re-entered stamp values still present in the table from early draws,
-// so a stale displaced index could masquerade as fresh state and inject
-// a duplicate into the sample. The draw stream must also stay identical
-// to a sampler that never wrapped: the stamp is bookkeeping, not
-// randomness.
+// TestUniformIntoGenerationWrap forces the displacement table's
+// generation stamp to wrap and checks that stale entries from before the
+// wrap cannot collide with fresh ones. Before the wrap was handled, the
+// counter re-entered stamp values still present in the table from early
+// draws, so a stale displaced index could masquerade as fresh state and
+// inject a duplicate into the sample. The draw stream must also stay
+// identical to a sampler that never wrapped: the stamp is bookkeeping,
+// not randomness.
 func TestUniformIntoGenerationWrap(t *testing.T) {
 	const n, k = 64, 48
 	s := New(n, 99)
@@ -162,34 +165,248 @@ func TestUniformIntoGenerationWrap(t *testing.T) {
 	// One draw to allocate the displacement table.
 	s.UniformInto(dst)
 	ref.UniformInto(refDst)
+	tab := &s.sc.tab
 	// Poison every slot with exactly the stamp the counter hands out right
 	// after wrapping (1), all displacing to index 0: if the wrap does not
 	// invalidate the table, every lookup resolves to the stale 0 and the
 	// draw collapses into duplicates.
-	for i := range s.dispGen {
-		s.dispGen[i] = 1
-		s.dispVal[i] = 0
-	}
+	poison(tab, 1)
 	// Jump the counter to the edge: the next draw wraps to 0 and restarts
 	// at 1 — colliding with the poisoned stamps unless the wrap path
 	// clears them.
-	s.gen = ^uint64(0)
+	tab.cur = ^uint64(0)
 	for draw := 0; draw < 4; draw++ {
-		got := s.UniformInto(dst)
-		want := ref.UniformInto(refDst)
-		seen := make(map[int]bool, k)
-		for _, v := range got {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("draw %d across the wrap: invalid or duplicate index %d in %v", draw, v, got)
-			}
-			seen[v] = true
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("draw %d: wrap changed the sampled stream:\n got %v\nwant %v", draw, got, want)
-		}
+		checkDraw(t, fmt.Sprintf("draw %d across the wrap", draw), s.UniformInto(dst), ref.UniformInto(refDst), n)
 	}
 	// The wrap draw restarts the counter at 1; three more draws follow.
-	if s.gen != 4 {
-		t.Errorf("post-wrap generation = %d, want 4", s.gen)
+	if tab.cur != 4 {
+		t.Errorf("post-wrap generation = %d, want 4", tab.cur)
+	}
+}
+
+// TestTableHandOff passes one displacement table between samplers of
+// different sizes and seeds, as the pool does between trains: entries a
+// previous owner stamped must never leak into the next owner's draws,
+// whether the table is reused as is, grown, or wraps on the hand-off.
+func TestTableHandOff(t *testing.T) {
+	const k = 40
+	a := New(200, 5)
+	a.UniformInto(make([]int, k))
+	tab := a.sc.tab
+	for _, tc := range []struct {
+		name string
+		n    int
+		cur  uint64 // 0 keeps the counter the previous owner left
+	}{
+		{"smaller population", 64, 0},
+		{"same population", 200, 0},
+		{"grown population", 500, 0},
+		{"wrap on hand-off", 150, ^uint64(0)},
+	} {
+		b, ref := New(tc.n, 11), New(tc.n, 11)
+		// Every stamp the previous owner could have left is live-looking
+		// and displaces to index 0.
+		poison(&tab, tab.cur)
+		if tc.cur != 0 {
+			poison(&tab, 1)
+			tab.cur = tc.cur
+		}
+		b.sc.tab = tab
+		dst, refDst := make([]int, k), make([]int, k)
+		for draw := 0; draw < 3; draw++ {
+			checkDraw(t, fmt.Sprintf("%s: draw %d", tc.name, draw), b.UniformInto(dst), ref.UniformInto(refDst), tc.n)
+		}
+		tab = b.sc.tab
+		if len(tab.gen) < tc.n {
+			t.Fatalf("%s: table holds %d slots for a population of %d", tc.name, len(tab.gen), tc.n)
+		}
+	}
+}
+
+// poison stamps every table slot with stamp, displacing to index 0.
+func poison(tab *table, stamp uint64) {
+	for i := range tab.gen {
+		tab.gen[i] = stamp
+		tab.val[i] = 0
+	}
+}
+
+// checkDraw fails unless got is a duplicate-free in-range draw equal to
+// the reference sampler's.
+func checkDraw(t *testing.T, what string, got, want []int, n int) {
+	t.Helper()
+	seen := make(map[int]bool, len(got))
+	for _, v := range got {
+		if v < 0 || v >= n || seen[v] {
+			t.Fatalf("%s: invalid or duplicate index %d in %v", what, v, got)
+		}
+		seen[v] = true
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: the table changed the sampled stream:\n got %v\nwant %v", what, got, want)
+	}
+}
+
+// oldNext is the epoch iterator as it was before permInto: the first
+// epoch comes from rand.Perm, reshuffles from rand.Shuffle.
+type oldNext struct {
+	rng  *rand.Rand
+	perm []int
+	pos  int
+}
+
+func (o *oldNext) next(n, k int) []int {
+	if o.perm == nil {
+		o.perm = o.rng.Perm(n)
+	}
+	if o.pos+k > n {
+		o.rng.Shuffle(n, func(i, j int) { o.perm[i], o.perm[j] = o.perm[j], o.perm[i] })
+		o.pos = 0
+	}
+	out := o.perm[o.pos : o.pos+k]
+	o.pos += k
+	return out
+}
+
+// TestNextMatchesRandPerm pins permInto to math/rand's Perm: the epochs
+// Next hands out, across reshuffles, and the generator state afterwards
+// are exactly those of rand.Perm followed by the same Shuffle calls.
+func TestNextMatchesRandPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 1023, 80000} {
+		for _, seed := range []int64{1, 2, 42, -7, 1 << 40} {
+			s := New(n, seed)
+			ref := &oldNext{rng: rand.New(rand.NewSource(seed))}
+			for _, k := range []int{1, (n + 1) / 2, n, max(1, n/3), 1} {
+				for step := 0; step < 5; step++ {
+					if got, want := s.Next(k), ref.next(n, k); !slices.Equal(got, want) {
+						t.Fatalf("n=%d seed=%d k=%d step %d: Next diverged from rand.Perm", n, seed, k, step)
+					}
+				}
+			}
+			if got, want := s.Rand().Int63(), ref.rng.Int63(); got != want {
+				t.Errorf("n=%d seed=%d: stream after the epochs %d, want %d", n, seed, got, want)
+			}
+		}
+	}
+}
+
+// drawSchedule drains a fresh schedule of uniform then epoch draws.
+func drawSchedule(n int, seed int64, k, uniform, epoch int) [][]int {
+	s := Acquire(n, seed)
+	defer s.Release()
+	q := s.Schedule(k, uniform, epoch)
+	out := make([][]int, 0, uniform+epoch)
+	for i := 0; i < uniform+epoch; i++ {
+		out = append(out, slices.Clone(q.Next()))
+	}
+	return out
+}
+
+// TestScheduleMatchesSampler pins the schedule, prefetched and inline, to
+// the sampler calls it replaces: UniformInto for the uniform draws, then
+// Next, in order, from the same seed.
+func TestScheduleMatchesSampler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ n, k, uniform, epoch int }{
+		{1000, 50, 200, 100}, // epoch draws reshuffle
+		{64, 64, 3, 5},       // whole-population samples
+		{500, 7, 0, 19},      // epoch only, partial last chunk
+		{500, 7, 13, 0},      // uniform only
+		{10, 3, 8, 8},        // exactly one chunk each
+	} {
+		for _, seed := range []int64{1, 9, 123} {
+			ref := New(tc.n, seed)
+			var want [][]int
+			for i := 0; i < tc.uniform; i++ {
+				want = append(want, ref.Uniform(tc.k))
+			}
+			for i := 0; i < tc.epoch; i++ {
+				want = append(want, slices.Clone(ref.Next(tc.k)))
+			}
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := drawSchedule(tc.n, seed, tc.k, tc.uniform, tc.epoch)
+				if len(got) != len(want) {
+					t.Fatalf("%+v seed %d procs %d: %d samples, want %d", tc, seed, procs, len(got), len(want))
+				}
+				for i := range want {
+					if !slices.Equal(got[i], want[i]) {
+						t.Fatalf("%+v seed %d procs %d: sample %d = %v, want %v", tc, seed, procs, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSchedulePrefetchRule pins the in-flight rule and the helper's
+// lifetime: a schedule prefetches only while twice the schedules in
+// flight fit in GOMAXPROCS, and Release returns only after its helper
+// has exited, also when the schedule was abandoned part-way.
+func TestSchedulePrefetchRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var samplers []*Sampler
+	var done []chan struct{}
+	for i, want := range []bool{true, true, false} { // the third draws inline
+		s := Acquire(1000, int64(i+1))
+		q := s.Schedule(10, 100, 100)
+		if got := q.full != nil; got != want {
+			t.Fatalf("schedule %d of %d in flight on 4 procs: prefetched = %v, want %v", i+1, i+1, got, want)
+		}
+		samplers, done = append(samplers, s), append(done, q.done)
+		if i != 1 { // leave one schedule unread
+			for j := 0; j < 50; j++ {
+				q.Next()
+			}
+		}
+	}
+	for i, s := range samplers {
+		s.Release()
+		if done[i] == nil {
+			continue
+		}
+		select {
+		case <-done[i]:
+		default:
+			t.Fatalf("schedule %d: Release returned before its helper exited", i+1)
+		}
+	}
+	if n := inFlight.Load(); n != 0 {
+		t.Fatalf("after Release: %d schedules in flight, want 0", n)
+	}
+}
+
+// TestScheduleTwice: a sampler runs one schedule; starting a second
+// while the first runs is a bug, not a silent restart.
+func TestScheduleTwice(t *testing.T) {
+	s := Acquire(100, 1)
+	defer s.Release()
+	s.Schedule(5, 2, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Schedule on a running sampler did not panic")
+		}
+	}()
+	s.Schedule(5, 2, 1)
+}
+
+// TestScheduleExhausted: reading past the end is a bug, not a deadlock.
+func TestScheduleExhausted(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s := Acquire(100, 1)
+			defer s.Release()
+			q := s.Schedule(5, 2, 1)
+			for i := 0; i < 3; i++ {
+				q.Next()
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("procs %d: reading past the schedule did not panic", procs)
+				}
+			}()
+			q.Next()
+		}()
 	}
 }

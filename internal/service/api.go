@@ -491,8 +491,9 @@ type RankStatsInfo struct {
 	MinRunLen    int `json:"min_run_len"`
 	MedianRunLen int `json:"median_run_len"`
 	MaxRunLen    int `json:"max_run_len"`
-	// BuildMicros is the one-time registration cost of the partition and
-	// per-run pre-sort, in microseconds.
+	// BuildMicros is the one-time registration cost of partitioning the
+	// cohort into runs dealt from the evaluator's cached base order, in
+	// microseconds.
 	BuildMicros int64 `json:"build_us"`
 	// MergeCount and RankingCount are the evaluator's lifetime counters:
 	// prefix requests answered by the g-way merge vs full-population

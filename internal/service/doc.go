@@ -16,9 +16,11 @@
 //   - Each registered dataset owns one shared core.Evaluator (safe for
 //     concurrent use; its sweeps already fan over the engine worker pool)
 //     and a bounded pool of core.Trainers (a Trainer owns a workspace and
-//     is single-goroutine; the pool hands one to each in-flight train
-//     request, cloning the prototype — which shares the precomputed base
-//     scores — when the pool runs dry).
+//     serves one train at a time; the pool hands one to each in-flight
+//     train request, cloning the prototype — which shares the precomputed
+//     base scores — when the pool runs dry). A train prefetches its sample
+//     schedule on a helper goroutine while (trains in flight) × 2 ≤
+//     GOMAXPROCS, and returns only after the helper has exited.
 //   - Train results are cached in an LRU keyed by the normalized request,
 //     so repeated what-if queries cost a map lookup. Training is
 //     deterministic given (dataset, objective, options, seed), which makes

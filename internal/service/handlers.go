@@ -210,14 +210,18 @@ func (s *Server) runTrain(ctx context.Context, e *Entry, p *trainParams, key str
 		}
 		s.cache.put(beforeKey, before)
 	}
-	after, err := e.eval.DisparityCtx(ctx, res.Bonus, p.req.K)
+	// Both diagnostics of the trained vector come from one ranked pass.
+	ans, err := e.eval.AnswerBatchCtx(ctx, res.Bonus, []core.BatchQuery{
+		{Kind: core.BatchDisparity, K: p.req.K},
+		{Kind: core.BatchNDCG, K: p.req.K},
+	})
+	if err == nil {
+		err = errors.Join(ans[0].Err, ans[1].Err)
+	}
 	if err != nil {
 		return TrainResponse{}, pipelineErr(fmt.Errorf("evaluating trained vector: %w", err), http.StatusInternalServerError)
 	}
-	ndcg, err := e.eval.NDCGCtx(ctx, res.Bonus, p.req.K)
-	if err != nil {
-		return TrainResponse{}, pipelineErr(fmt.Errorf("evaluating trained vector: %w", err), http.StatusInternalServerError)
-	}
+	after, ndcg := ans[0].Vector, ans[1].Value
 	resp := TrainResponse{
 		Dataset:         p.req.Dataset,
 		Objective:       p.req.Objective,
