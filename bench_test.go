@@ -103,8 +103,12 @@ func BenchmarkDCATrain80k(b *testing.B) { benchTrain(b, 80_000) }
 // BenchmarkTrainerWarm80k trains the way fairrankd does: one held Trainer
 // (base scores and workspace already paid for), a cancellable request
 // context and a fresh seed per run, so it measures the descent and its
-// sample schedule alone.
-func BenchmarkTrainerWarm80k(b *testing.B) {
+// sample schedule alone. BenchmarkTrainerWarm80kK10 is the same train at
+// k=0.1, the analyst workload's other cold train.
+func BenchmarkTrainerWarm80k(b *testing.B)    { benchTrainerWarm(b, 0.05) }
+func BenchmarkTrainerWarm80kK10(b *testing.B) { benchTrainerWarm(b, 0.1) }
+
+func benchTrainerWarm(b *testing.B, k float64) {
 	cfg := fairrank.DefaultSchoolConfig()
 	cfg.N = 80_000
 	d, err := fairrank.GenerateSchool(cfg)
@@ -112,7 +116,7 @@ func BenchmarkTrainerWarm80k(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := fairrank.NewTrainer(d, fairrank.WeightedSum{Weights: fairrank.SchoolScoreWeights()})
-	obj := fairrank.DisparityObjective(0.05)
+	obj := fairrank.DisparityObjective(k)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts := fairrank.DefaultOptions()
@@ -154,8 +158,7 @@ func benchTrainEnsemble(b *testing.B, n, runs int) {
 func BenchmarkTrainSchoolEnsemble8(b *testing.B)  { benchTrainEnsemble(b, 20_000, 8) }
 func BenchmarkTrainSchoolEnsemble32(b *testing.B) { benchTrainEnsemble(b, 20_000, 32) }
 
-// Selection-strategy ablation: full sort vs quickselect vs bounded heap
-// for the top-5% selection (DESIGN.md `ablation-select`).
+// Top-5% selection by the bounded heap every selection path uses.
 
 func benchSelect(b *testing.B, n int, pick func(scores []float64, k int) []int) {
 	rng := rand.New(rand.NewSource(7))
@@ -173,12 +176,8 @@ func benchSelect(b *testing.B, n int, pick func(scores []float64, k int) []int) 
 	}
 }
 
-func BenchmarkSelectSort10k(b *testing.B)         { benchSelect(b, 10_000, rank.TopK) }
-func BenchmarkSelectQuickselect10k(b *testing.B)  { benchSelect(b, 10_000, rank.TopKQuickselect) }
-func BenchmarkSelectHeap10k(b *testing.B)         { benchSelect(b, 10_000, rank.TopKHeap) }
-func BenchmarkSelectSort100k(b *testing.B)        { benchSelect(b, 100_000, rank.TopK) }
-func BenchmarkSelectQuickselect100k(b *testing.B) { benchSelect(b, 100_000, rank.TopKQuickselect) }
-func BenchmarkSelectHeap100k(b *testing.B)        { benchSelect(b, 100_000, rank.TopKHeap) }
+func BenchmarkSelectHeap10k(b *testing.B)  { benchSelect(b, 10_000, rank.TopKHeap) }
+func BenchmarkSelectHeap100k(b *testing.B) { benchSelect(b, 100_000, rank.TopKHeap) }
 
 // Objective evaluation cost per DCA step (sample of 500, k=5%).
 

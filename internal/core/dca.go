@@ -164,26 +164,37 @@ func Scale(b []float64, w, granularity float64) []float64 {
 // descent step. The sampler's n-sized scratch is not the Trainer's: each
 // run borrows it from the sample package's pool and returns it.
 //
+// Every constructor makes sure the dataset's combo-row index exists
+// (dataset.ComboIndex), so each descent step scores and centroids its
+// sample from base scores plus the small combo-row table rather than
+// from every fairness column.
+//
 // A Trainer is not safe for concurrent use: it owns a single workspace.
 // Create one per goroutine (Ensemble does exactly that). A run may draw
 // its samples on a helper goroutine (see sample.Schedule); the helper has
 // exited by the time the run returns.
 type Trainer struct {
-	d      *dataset.Dataset
-	scorer rank.Scorer
-	base   []float64
-	ws     *engine.Workspace
+	d    *dataset.Dataset
+	base []float64
+	ws   *engine.Workspace
 }
 
 // NewTrainer returns a trainer for the dataset under the given ranking
 // function. Base scores are computed once, here.
 func NewTrainer(d *dataset.Dataset, scorer rank.Scorer) *Trainer {
-	return &Trainer{
-		d:      d,
-		scorer: scorer,
-		base:   scorer.BaseScores(d),
-		ws:     engine.NewWorkspace(d.NumFair()),
-	}
+	return newTrainer(d, scorer.BaseScores(d), engine.NewWorkspace(d.NumFair()))
+}
+
+// NewTrainer returns a trainer over the evaluator's dataset that shares
+// the evaluator's base scores instead of computing a second copy. The
+// evaluator's scorer is the trainer's ranking function.
+func (e *Evaluator) NewTrainer() *Trainer {
+	return newTrainer(e.d, e.base, engine.NewWorkspace(e.d.NumFair()))
+}
+
+func newTrainer(d *dataset.Dataset, base []float64, ws *engine.Workspace) *Trainer {
+	d.ComboIndex() // built here, not inside the first descent step
+	return &Trainer{d: d, base: base, ws: ws}
 }
 
 // Clone returns a new Trainer over the same dataset and ranking function
@@ -192,7 +203,7 @@ func NewTrainer(d *dataset.Dataset, scorer rank.Scorer) *Trainer {
 // (the fairrankd service) clones its prototype instead of paying the
 // O(n) base-score computation per worker.
 func (t *Trainer) Clone() *Trainer {
-	return &Trainer{d: t.d, scorer: t.scorer, base: t.base, ws: engine.NewWorkspace(t.d.NumFair())}
+	return &Trainer{d: t.d, base: t.base, ws: engine.NewWorkspace(t.d.NumFair())}
 }
 
 // Reset repoints the trainer at a new dataset and ranking function: base
@@ -202,8 +213,8 @@ func (t *Trainer) Clone() *Trainer {
 // changes — a revised cohort, an edited rubric — letting the caller keep
 // one long-lived Trainer instead of rebuilding scratch state per revision.
 func (t *Trainer) Reset(d *dataset.Dataset, scorer rank.Scorer) {
+	d.ComboIndex()
 	t.d = d
-	t.scorer = scorer
 	t.base = scorer.BaseScores(d)
 	if t.ws.Dims() != d.NumFair() {
 		t.ws = engine.NewWorkspace(d.NumFair())

@@ -41,7 +41,7 @@ func Ensemble(d *dataset.Dataset, scorer rank.Scorer, obj Objective, opts Option
 		o := opts
 		o.Seed = opts.Seed + int64(r)
 		o.Trace = nil // trace hooks are not safe to share across goroutines
-		t := &Trainer{d: d, scorer: scorer, base: base, ws: ws}
+		t := newTrainer(d, base, ws)
 		results[r], errs[r] = t.Train(obj, o)
 	})
 

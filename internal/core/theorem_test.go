@@ -48,7 +48,7 @@ func TestTheorem41SwapProperty(t *testing.T) {
 		}
 
 		k := 1 + rng.Intn(n/2)
-		sel := rank.TopK(score, k)
+		sel := rank.Order(score)[:k]
 		inTop := make([]bool, n)
 		for _, i := range sel {
 			inTop[i] = true

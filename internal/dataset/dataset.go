@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Dataset is an immutable columnar collection of objects. The zero value is
@@ -16,6 +18,20 @@ type Dataset struct {
 	fair       [][]float64 // fair[j][i]: fairness attribute j of object i
 	outcome    []bool      // optional; nil when absent
 	fairBinary []bool      // fairBinary[j]: every value of fair[j] is exactly 0 or 1
+
+	// combos is the combo-row index, built by the first ComboIndex call
+	// and read by the hot paths once it exists.
+	comboOnce sync.Once
+	combos    atomic.Pointer[comboIndex]
+}
+
+// comboIndex maps every object to its distinct fairness row. ok is false
+// when the dataset has more than MaxCombos distinct rows; comboOf and
+// reps are nil then.
+type comboIndex struct {
+	comboOf []int32   // combo of every object id
+	reps    []float64 // one row per combo, flat: combo c is reps[c*dims:(c+1)*dims]
+	ok      bool
 }
 
 // ErrNoOutcomes is returned by Outcome when the dataset was built without
@@ -181,10 +197,68 @@ func (d *Dataset) FairCentroidOf(idx []int) []float64 {
 
 // FairCentroidInto is the in-place variant of FairCentroidOf: it writes the
 // centroid into dst (length NumFair) and returns dst, allocating nothing.
+//
+// Once the combo-row index exists (see ComboIndex) the centroid is one
+// pass over idx that reads each object's combo row, a few cache-resident
+// bytes, instead of NumFair random reads across the columns. Each
+// dimension is still summed in idx order from zero, and a combo row is
+// bitwise equal to the object's column values, so both routes return the
+// same bits.
 func (d *Dataset) FairCentroidInto(idx []int, dst []float64) []float64 {
 	if len(idx) == 0 {
 		for j := range dst {
 			dst[j] = 0
+		}
+		return dst
+	}
+	cnt := float64(len(idx))
+	// Only an index ComboIndex already built: a one-off centroid over a
+	// fresh dataset must not pay for the build.
+	if ci := d.combos.Load(); ci != nil && ci.ok {
+		comboOf, reps := ci.comboOf, ci.reps
+		switch len(d.fair) {
+		case 2:
+			var s0, s1 float64
+			for _, i := range idx {
+				r := reps[2*int(comboOf[i]):][:2]
+				s0 += r[0]
+				s1 += r[1]
+			}
+			dst[0], dst[1] = s0/cnt, s1/cnt
+		case 3:
+			var s0, s1, s2 float64
+			for _, i := range idx {
+				r := reps[3*int(comboOf[i]):][:3]
+				s0 += r[0]
+				s1 += r[1]
+				s2 += r[2]
+			}
+			dst[0], dst[1], dst[2] = s0/cnt, s1/cnt, s2/cnt
+		case 4:
+			var s0, s1, s2, s3 float64
+			for _, i := range idx {
+				r := reps[4*int(comboOf[i]):][:4]
+				s0 += r[0]
+				s1 += r[1]
+				s2 += r[2]
+				s3 += r[3]
+			}
+			dst[0], dst[1], dst[2], dst[3] = s0/cnt, s1/cnt, s2/cnt, s3/cnt
+		default:
+			dims := len(d.fair)
+			sum := dst[:dims]
+			for j := range sum {
+				sum[j] = 0
+			}
+			for _, i := range idx {
+				r := reps[dims*int(comboOf[i]):][:dims]
+				for j, v := range r {
+					sum[j] += v
+				}
+			}
+			for j := range sum {
+				sum[j] /= cnt
+			}
 		}
 		return dst
 	}
@@ -193,7 +267,7 @@ func (d *Dataset) FairCentroidInto(idx []int, dst []float64) []float64 {
 		for _, i := range idx {
 			s += col[i]
 		}
-		dst[j] = s / float64(len(idx))
+		dst[j] = s / cnt
 	}
 	return dst
 }
@@ -307,55 +381,92 @@ func (d *Dataset) WithFairColumns(cols []int) *Dataset {
 	}
 }
 
-// FairCombos partitions the objects by bitwise-identical fairness
-// attribute rows. It returns the combo index of every object (combo ids
-// are assigned in first-appearance order) and one representative row per
-// combo. Two objects share a combo exactly when every fairness attribute
-// matches bit for bit — the invariant the combo-run merge ranking relies
-// on: such objects receive identical bonus totals under *every* bonus
-// vector, so their relative order never changes.
+// MaxCombos caps the combo-row index. A dataset whose fairness
+// attributes are effectively continuous has close to one distinct row per
+// object; an index over it saves no reads and a combo-run merge over it
+// degenerates to a full sort, so above this many rows ComboIndex declines.
+const MaxCombos = 2048
+
+// ComboIndex returns the combo-row index: the objects partitioned by
+// bitwise-identical fairness rows. comboOf holds the combo of every
+// object (combos are numbered in first-appearance order) and reps one
+// representative row per combo, flat: combo c's row is
+// reps[c*NumFair():(c+1)*NumFair()]. Two objects share a combo exactly
+// when every fairness attribute matches bit for bit, so reps[comboOf[i]]
+// is bitwise equal to object i's column values. That is the invariant
+// the combo-run merge ranking relies on (members of a combo receive
+// identical bonus totals under every bonus vector), and the one that lets
+// the descent step's scoring and centroids read a row of the small reps
+// table instead of NumFair large columns.
 //
-// maxCombos caps the partition: as soon as more distinct rows than that
-// appear (a continuous attribute makes nearly every row unique, and a
-// run-per-object partition buys nothing), the scan aborts and ok is
-// false. A maxCombos <= 0 means no cap.
-func (d *Dataset) FairCombos(maxCombos int) (comboOf []int32, reps [][]float64, ok bool) {
-	comboOf = make([]int32, d.n)
-	if len(d.fair) == 0 {
+// The index is built on the first call and kept for the dataset's
+// lifetime; later calls, from any goroutine, return the same slices,
+// which must not be modified. ok is false, with nil slices, when the
+// dataset has more than MaxCombos distinct rows.
+func (d *Dataset) ComboIndex() (comboOf []int32, reps []float64, ok bool) {
+	d.comboOnce.Do(func() { d.combos.Store(d.buildCombos()) })
+	ci := d.combos.Load()
+	return ci.comboOf, ci.reps, ci.ok
+}
+
+// comboSlots is the size of buildCombos' open-addressed table: a power of
+// two at least twice MaxCombos, so the table is never more than half full.
+const (
+	comboSlotBits = 12
+	comboSlots    = 1 << comboSlotBits
+)
+
+func (d *Dataset) buildCombos() *comboIndex {
+	dims := len(d.fair)
+	comboOf := make([]int32, d.n)
+	if dims == 0 {
 		// No fairness attributes: every object is the single empty combo.
-		return comboOf, [][]float64{{}}, true
+		return &comboIndex{comboOf: comboOf, reps: []float64{}, ok: true}
 	}
-	byKey := make(map[string]int32)
-	key := make([]byte, 8*len(d.fair))
-	var repIDs []int
+	// Combo ids (plus one; 0 marks an empty slot) in an open-addressed
+	// table keyed by a multiplicative hash of the row's bits. A probe
+	// compares the representative row bit for bit, so -0 and +0 stay
+	// apart and a hash collision never merges two rows.
+	table := make([]int32, comboSlots)
+	var reps []float64
 	for i := 0; i < d.n; i++ {
-		for j, col := range d.fair {
-			bits := math.Float64bits(col[i])
-			for o := 0; o < 8; o++ {
-				key[8*j+o] = byte(bits >> (8 * o))
+		var h uint64
+		for _, col := range d.fair {
+			h = (h ^ math.Float64bits(col[i])) * 0x9e3779b97f4a7c15
+		}
+		slot := h >> (64 - comboSlotBits)
+		for {
+			c := table[slot]
+			if c == 0 {
+				g := len(reps) / dims
+				if g == MaxCombos {
+					return &comboIndex{}
+				}
+				for _, col := range d.fair {
+					reps = append(reps, col[i])
+				}
+				table[slot] = int32(g + 1)
+				comboOf[i] = int32(g)
+				break
 			}
-		}
-		c, seen := byKey[string(key)]
-		if !seen {
-			if maxCombos > 0 && len(repIDs) >= maxCombos {
-				return nil, nil, false
+			if d.rowIs(i, reps[int(c-1)*dims:][:dims]) {
+				comboOf[i] = c - 1
+				break
 			}
-			c = int32(len(repIDs))
-			byKey[string(key)] = c
-			repIDs = append(repIDs, i)
+			slot = (slot + 1) & (comboSlots - 1)
 		}
-		comboOf[i] = c
 	}
-	backing := make([]float64, len(repIDs)*len(d.fair))
-	reps = make([][]float64, len(repIDs))
-	for c, i := range repIDs {
-		row := backing[c*len(d.fair) : (c+1)*len(d.fair) : (c+1)*len(d.fair)]
-		for j, col := range d.fair {
-			row[j] = col[i]
+	return &comboIndex{comboOf: comboOf, reps: reps[:len(reps):len(reps)], ok: true}
+}
+
+// rowIs reports whether object i's fairness row is bitwise equal to row.
+func (d *Dataset) rowIs(i int, row []float64) bool {
+	for j, col := range d.fair {
+		if math.Float64bits(col[i]) != math.Float64bits(row[j]) {
+			return false
 		}
-		reps[c] = row
 	}
-	return comboOf, reps, true
+	return true
 }
 
 // Builder accumulates objects row by row and produces a Dataset.

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -216,5 +217,116 @@ func TestCentroidProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// comboCohort builds an n-object dataset with dims fairness attributes
+// drawn from a palette holding both zeros, so the combo-row index exists
+// and some rows differ only in the sign of a zero.
+func comboCohort(t *testing.T, rng *rand.Rand, n, dims int) *Dataset {
+	t.Helper()
+	levels := []float64{0, math.Copysign(0, -1), 1, 0.25, 0.37, 1.0 / 3, 0.99}
+	fair := make([][]float64, dims)
+	names := make([]string, dims)
+	for j := range fair {
+		names[j] = string(rune('a' + j))
+		fair[j] = make([]float64, n)
+		for i := range fair[j] {
+			fair[j][i] = levels[rng.Intn(len(levels))]
+		}
+	}
+	score := make([]float64, n)
+	d, err := New([]string{"s"}, names, [][]float64{score}, fair, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestFairCentroidIndexDifferential computes every centroid twice on the
+// same dataset, first from the columns (the index does not exist yet) and
+// then through the combo-row index, and requires the same bits, on 2, 3,
+// 4 and 6 dimensions, and dst back at the length it was passed with.
+func TestFairCentroidIndexDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 2000
+	for _, dims := range []int{2, 3, 4, 6} {
+		d := comboCohort(t, rng, n, dims)
+		var sets [][]int
+		for _, size := range []int{1, 2, 25, 500, n} {
+			idx := make([]int, size)
+			for r := range idx {
+				idx[r] = rng.Intn(n)
+			}
+			sets = append(sets, idx)
+		}
+		// A set of rows holding only zeros of both signs.
+		var zeros []int
+		for i := 0; i < n && len(zeros) < 50; i++ {
+			if d.Fair(i, 0) == 0 {
+				zeros = append(zeros, i)
+			}
+		}
+		sets = append(sets, zeros)
+		want := make([][]float64, len(sets))
+		for s, idx := range sets {
+			want[s] = d.FairCentroidOf(idx)
+		}
+		if _, _, ok := d.ComboIndex(); !ok {
+			t.Fatalf("dims=%d: ComboIndex declined", dims)
+		}
+		for s, idx := range sets {
+			// dst one longer than NumFair: every route returns dst as given.
+			got := d.FairCentroidInto(idx, make([]float64, dims+1))
+			if len(got) != dims+1 {
+				t.Fatalf("dims=%d set %d: indexed centroid returned length %d, want dst's %d",
+					dims, s, len(got), dims+1)
+			}
+			for j := range want[s] {
+				if math.Float64bits(got[j]) != math.Float64bits(want[s][j]) {
+					t.Fatalf("dims=%d set %d dim %d: indexed centroid %v, column centroid %v",
+						dims, s, j, got[j], want[s][j])
+				}
+			}
+		}
+	}
+}
+
+// TestComboIndex checks the index invariant (each object's combo row is
+// bitwise its column values, -0 and +0 kept apart), that repeated calls
+// share one index, and that a dataset with more than MaxCombos distinct
+// rows declines.
+func TestComboIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := comboCohort(t, rng, 1000, 3)
+	comboOf, reps, ok := d.ComboIndex()
+	if !ok {
+		t.Fatal("ComboIndex declined")
+	}
+	for i := 0; i < d.N(); i++ {
+		row := reps[3*int(comboOf[i]):][:3]
+		for j, v := range row {
+			if math.Float64bits(v) != math.Float64bits(d.Fair(i, j)) {
+				t.Fatalf("object %d dim %d: combo row %v, column %v", i, j, v, d.Fair(i, j))
+			}
+		}
+	}
+	if again, _, _ := d.ComboIndex(); &again[0] != &comboOf[0] {
+		t.Error("second ComboIndex call rebuilt the index")
+	}
+
+	cont := make([]float64, MaxCombos+1)
+	for i := range cont {
+		cont[i] = float64(i) / float64(len(cont))
+	}
+	wide, err := New([]string{"s"}, []string{"x"}, [][]float64{make([]float64, len(cont))}, [][]float64{cont}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comboOf, reps, ok := wide.ComboIndex(); ok || comboOf != nil || reps != nil {
+		t.Errorf("%d distinct rows: ComboIndex ok=%v, want a decline", len(cont), ok)
+	}
+	if c := wide.FairCentroidOf([]int{0, len(cont) - 1}); c[0] != cont[len(cont)-1]/2 {
+		t.Errorf("centroid after a declined index = %v", c)
 	}
 }

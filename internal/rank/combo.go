@@ -13,7 +13,8 @@ import (
 // fairness attributes are effectively continuous produces close to one
 // run per object, at which point the merge degenerates to a full sort
 // with worse constants; above this cap NewComboRuns declines to build.
-const DefaultMaxComboRuns = 2048
+// It is the cap of the dataset's combo-row index the runs are built on.
+const DefaultMaxComboRuns = dataset.MaxCombos
 
 // ComboRuns is the pre-sorted run decomposition that makes any cold
 // top-k an O(k log g) merge instead of an O(n log n) sort.
@@ -33,21 +34,24 @@ type ComboRuns struct {
 	n    int
 	dims int
 
-	ids     []int32     // object ids, runs contiguous, each run pre-sorted
-	bases   []float64   // base score aligned with ids
-	starts  []int32     // run r occupies ids[starts[r]:starts[r+1]]; len g+1
-	reps    [][]float64 // one representative fairness row per run
-	comboOf []int32     // run index of every object id
-	posOf   []int32     // position of every object id inside ids
+	ids     []int32   // object ids, runs contiguous, each run pre-sorted
+	bases   []float64 // base score aligned with ids
+	starts  []int32   // run r occupies ids[starts[r]:starts[r+1]]; len g+1
+	reps    []float64 // the dataset's combo rows, flat; run r is combo r
+	comboOf []int32   // the dataset's combo of every object id (its run)
+	posOf   []int32   // position of every object id inside ids
 
 	buildCost time.Duration
 }
 
 // NewComboRuns partitions d by distinct fairness row and orders each run
-// by base score, dealing one ranking of base into the runs. It returns nil
-// when the structure cannot help: more than maxRuns distinct rows
-// (maxRuns <= 0 means DefaultMaxComboRuns), a non-finite base score, or a
-// population too large for int32 ids.
+// by base score, dealing one ranking of base into the runs. The partition
+// is the dataset's combo-row index (dataset.ComboIndex), shared rather
+// than copied, so building runs over a dataset whose index exists costs
+// only the deal. It returns nil when the structure cannot help: more than
+// maxRuns distinct rows (maxRuns <= 0 or above DefaultMaxComboRuns means
+// DefaultMaxComboRuns), a non-finite base score, or a population too
+// large for int32 ids.
 // base is retained only during construction.
 func NewComboRuns(d *dataset.Dataset, base []float64, maxRuns int) *ComboRuns {
 	return NewComboRunsOrdered(d, base, nil, maxRuns)
@@ -58,7 +62,7 @@ func NewComboRuns(d *dataset.Dataset, base []float64, maxRuns int) *ComboRuns {
 // runs are dealt from order instead of ranking base again. A nil order
 // ranks base here. Neither slice is retained.
 func NewComboRunsOrdered(d *dataset.Dataset, base []float64, order []int, maxRuns int) *ComboRuns {
-	if maxRuns <= 0 {
+	if maxRuns <= 0 || maxRuns > DefaultMaxComboRuns {
 		maxRuns = DefaultMaxComboRuns
 	}
 	n := d.N()
@@ -71,11 +75,17 @@ func NewComboRunsOrdered(d *dataset.Dataset, base []float64, order []int, maxRun
 		}
 	}
 	begin := time.Now() //fairlint:allow determinism -- one-time BuildElapsed stat in RunStats is pure observability; run contents and merge order never read the clock
-	comboOf, reps, ok := d.FairCombos(maxRuns)
+	comboOf, reps, ok := d.ComboIndex()
 	if !ok {
 		return nil
 	}
-	g := len(reps)
+	g := 1
+	if dims := d.NumFair(); dims > 0 {
+		g = len(reps) / dims
+	}
+	if g > maxRuns {
+		return nil
+	}
 	c := &ComboRuns{
 		n:       n,
 		dims:    d.NumFair(),
@@ -118,7 +128,10 @@ func NewComboRunsOrdered(d *dataset.Dataset, base []float64, order []int, maxRun
 func (c *ComboRuns) N() int { return c.n }
 
 // Runs returns g, the number of distinct fairness combinations.
-func (c *ComboRuns) Runs() int { return len(c.reps) }
+func (c *ComboRuns) Runs() int { return len(c.starts) - 1 }
+
+// rep returns run r's fairness row.
+func (c *ComboRuns) rep(r int) []float64 { return c.reps[r*c.dims : (r+1)*c.dims] }
 
 // RunStats summarizes a combo-run decomposition for observability.
 type RunStats struct {
@@ -132,7 +145,7 @@ type RunStats struct {
 // Stats reports run-count and run-length statistics plus the one-time
 // construction cost.
 func (c *ComboRuns) Stats() RunStats {
-	g := len(c.reps)
+	g := c.Runs()
 	lens := make([]int, g)
 	for r := 0; r < g; r++ {
 		lens[r] = int(c.starts[r+1] - c.starts[r])
@@ -220,10 +233,11 @@ func (s *MergeScratch) ensure(g int) {
 // any offset is non-finite (a NaN or ±Inf bonus breaks the total order,
 // so callers must fall back to the full-sort path for bit-identity).
 func (c *ComboRuns) prepareOffsets(bonus []float64, pol Polarity, s *MergeScratch) bool {
-	s.ensure(len(c.reps))
+	g := c.Runs()
+	s.ensure(g)
 	sign := pol.Sign()
-	for r, row := range c.reps {
-		off := bonusTerm(row, bonus, sign)
+	for r := 0; r < g; r++ {
+		off := bonusTerm(c.rep(r), bonus, sign)
 		if math.IsNaN(off) || math.IsInf(off, 0) {
 			return false
 		}
@@ -321,7 +335,7 @@ func (c *ComboRuns) MergeTopKIntoCtx(ctx context.Context, bonus []float64, pol P
 	if !c.prepareOffsets(bonus, pol, s) {
 		return nil, false, nil
 	}
-	g := int32(len(c.reps))
+	g := int32(c.Runs())
 	for r := int32(0); r < g; r++ {
 		s.pos[r] = c.starts[r]
 		s.rem[r] = 0
@@ -393,7 +407,7 @@ func (c *ComboRuns) RankOf(obj int, bonus []float64, pol Polarity, s *MergeScrat
 	}
 	e := c.bases[c.posOf[obj]] + s.offsets[c.comboOf[obj]]
 	above := 0
-	for r := 0; r < len(c.reps); r++ {
+	for r := 0; r < c.Runs(); r++ {
 		lo, hi := int(c.starts[r]), int(c.starts[r+1])
 		off := s.offsets[r]
 		// First position with eff <= e; everything before it ranks above.

@@ -137,25 +137,29 @@ func TestTopKVariantsAgreeOnMembership(t *testing.T) {
 			scores[i] = float64(rng.Intn(10))
 		}
 		k := rng.Intn(n + 1)
-		ref := append([]int(nil), TopK(scores, k)...)
-		qs := append([]int(nil), TopKQuickselect(scores, k)...)
+		ref := append([]int(nil), Order(scores)[:k]...)
 		hp := append([]int(nil), TopKHeap(scores, k)...)
 		sort.Ints(ref)
-		sort.Ints(qs)
 		sort.Ints(hp)
-		return reflect.DeepEqual(ref, qs) && reflect.DeepEqual(ref, hp)
+		return reflect.DeepEqual(ref, hp)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestTopKIsRanked checks that a heap selection sorted by SortRanked is
+// the leading prefix of the full ranking, ties by ascending index.
 func TestTopKIsRanked(t *testing.T) {
 	scores := []float64{1, 9, 4, 9, 2}
-	got := TopK(scores, 3)
 	want := []int{1, 3, 2} // 9 (idx1), 9 (idx3), 4 (idx2)
+	if got := Order(scores)[:3]; !reflect.DeepEqual(got, want) {
+		t.Errorf("Order prefix = %v, want %v", got, want)
+	}
+	got := TopKHeapInto(scores, 3, make([]int, 0, 3))
+	SortRanked(scores, got)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TopK = %v, want %v", got, want)
+		t.Errorf("sorted TopKHeapInto = %v, want %v", got, want)
 	}
 }
 
@@ -165,19 +169,5 @@ func TestTopKPanicsOutOfRange(t *testing.T) {
 			t.Error("expected panic when k > n")
 		}
 	}()
-	TopK([]float64{1}, 2)
-}
-
-func TestSelectionSelect(t *testing.T) {
-	sel := Selection{Frac: 0.4}
-	got, err := sel.Select([]float64{5, 1, 4, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("Select = %v, want [0 2]", got)
-	}
-	if _, err := (Selection{Frac: 0}).Select([]float64{1}); err == nil {
-		t.Error("Frac 0: expected error")
-	}
+	TopKHeapInto([]float64{1}, 2, make([]int, 0, 2))
 }

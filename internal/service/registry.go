@@ -17,19 +17,18 @@ import (
 // shared concurrent evaluator and a bounded pool of single-goroutine
 // trainers.
 type Entry struct {
-	name   string
-	d      *dataset.Dataset
-	scorer rank.Scorer
-	pol    rank.Polarity
+	name string
+	d    *dataset.Dataset
+	pol  rank.Polarity
 
 	// eval is safe for concurrent use (pooled workspaces, parallel
 	// sweeps); every handler shares this one instance so the precomputed
 	// base ranking and population centroid are paid once.
 	eval *core.Evaluator
 
-	// proto owns the precomputed base scores; acquire clones it when the
-	// idle pool is empty, so a burst of concurrent train requests costs
-	// one workspace allocation each, never an O(n) rescore.
+	// proto shares the evaluator's base scores; acquire clones it when
+	// the idle pool is empty, so a burst of concurrent train requests
+	// costs one workspace allocation each, never an O(n) rescore.
 	proto *core.Trainer
 	pool  chan *core.Trainer
 
@@ -150,15 +149,15 @@ func (r *Registry) Register(name string, d *dataset.Dataset, scorer rank.Scorer,
 	if _, ok := r.entries[name]; ok {
 		return fmt.Errorf("service: dataset %q already registered", name)
 	}
+	eval := core.NewEvaluator(d, scorer, pol)
 	r.entries[name] = &Entry{
-		name:   name,
-		d:      d,
-		scorer: scorer,
-		pol:    pol,
-		eval:   core.NewEvaluator(d, scorer, pol),
-		proto:  core.NewTrainer(d, scorer),
-		pool:   make(chan *core.Trainer, r.poolSize),
-		live:   make(chan struct{}, liveTrainerCap(r.poolSize)),
+		name:  name,
+		d:     d,
+		pol:   pol,
+		eval:  eval,
+		proto: eval.NewTrainer(),
+		pool:  make(chan *core.Trainer, r.poolSize),
+		live:  make(chan struct{}, liveTrainerCap(r.poolSize)),
 	}
 	r.order = append(r.order, name)
 	return nil

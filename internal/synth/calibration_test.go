@@ -24,7 +24,7 @@ func TestSchoolBaselineDisparity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := rank.TopK(base, k)
+	sel := rank.Order(base)[:k]
 	disp := metrics.Disparity(d, sel)
 	norm := metrics.Norm(disp)
 	t.Logf("baseline disparity: Low-Income=%.3f ELL=%.3f ENI=%.3f Special-Ed=%.3f norm=%.3f",
@@ -66,7 +66,7 @@ func TestTailFactorDeepensTopDisparity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return metrics.Norm(metrics.Disparity(ds, rank.TopK(base, k)))
+		return metrics.Norm(metrics.Disparity(ds, rank.Order(base)[:k]))
 	}
 	if top(dTail) <= top(dFlat) {
 		t.Errorf("tail factor should deepen the top-5%% disparity: tail %.3f vs flat %.3f", top(dTail), top(dFlat))

@@ -74,7 +74,7 @@ func TestCompasBaselineDisparityDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flagged := rank.TopK(base, k)
+	flagged := rank.Order(base)[:k]
 	disp := metrics.Disparity(d, flagged)
 	aa := d.FairIndex(RaceAfricanAmerican)
 	ca := d.FairIndex(RaceCaucasian)
@@ -98,7 +98,7 @@ func TestCompasFPRGapMatchesProPublicaDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flagged := rank.TopK(base, k)
+	flagged := rank.Order(base)[:k]
 	aa := d.FairIndex(RaceAfricanAmerican)
 	ca := d.FairIndex(RaceCaucasian)
 	fprAA, _ := metrics.GroupFPR(d, flagged, aa)
