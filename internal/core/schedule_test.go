@@ -94,7 +94,8 @@ func helperGone(buf []byte) bool {
 
 // routeProbe returns a Trace callback that records, on the first step of
 // a train, whether the train's schedule is being prefetched: at step one
-// the helper is at most three chunks ahead, so it is still running.
+// the helper is at most one ring ahead (96 samples at k = 500), short of
+// the schedule's end, so it is still running.
 func routeProbe(buf []byte, prefetched *bool) func(TraceStep) {
 	first := true
 	return func(TraceStep) {
@@ -171,7 +172,7 @@ func TestTrainCtxCancelStopsPrefetch(t *testing.T) {
 	for _, at := range []struct {
 		stage string
 		step  int
-	}{{"core", 30}, {"refine", 50}} {
+	}{{"core", 30}, {"refine", 1}} {
 		t.Run(fmt.Sprintf("%s-%d", at.stage, at.step), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -179,8 +180,11 @@ func TestTrainCtxCancelStopsPrefetch(t *testing.T) {
 			prefetched := false
 			opts.Trace = func(s TraceStep) {
 				if s.Stage == at.stage && s.Step == at.step {
-					// The helper runs until the last chunk is drawn, past
-					// either cancellation point.
+					// The helper runs until the last chunk is drawn. It
+					// leads the step by at most one ring (96 samples at
+					// k = 500), so the last of the schedule's 300 samples
+					// waits for a slot freed past sample 207: both
+					// cancellation points come before that.
 					prefetched = prefetching(buf)
 					cancel()
 				}

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -174,7 +175,7 @@ func TestUniformIntoGenerationWrap(t *testing.T) {
 	// Jump the counter to the edge: the next draw wraps to 0 and restarts
 	// at 1 — colliding with the poisoned stamps unless the wrap path
 	// clears them.
-	tab.cur = ^uint64(0)
+	tab.cur = ^uint32(0)
 	for draw := 0; draw < 4; draw++ {
 		checkDraw(t, fmt.Sprintf("draw %d across the wrap", draw), s.UniformInto(dst), ref.UniformInto(refDst), n)
 	}
@@ -196,12 +197,12 @@ func TestTableHandOff(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		n    int
-		cur  uint64 // 0 keeps the counter the previous owner left
+		cur  uint32 // 0 keeps the counter the previous owner left
 	}{
 		{"smaller population", 64, 0},
 		{"same population", 200, 0},
 		{"grown population", 500, 0},
-		{"wrap on hand-off", 150, ^uint64(0)},
+		{"wrap on hand-off", 150, ^uint32(0)},
 	} {
 		b, ref := New(tc.n, 11), New(tc.n, 11)
 		// Every stamp the previous owner could have left is live-looking
@@ -217,17 +218,16 @@ func TestTableHandOff(t *testing.T) {
 			checkDraw(t, fmt.Sprintf("%s: draw %d", tc.name, draw), b.UniformInto(dst), ref.UniformInto(refDst), tc.n)
 		}
 		tab = b.sc.tab
-		if len(tab.gen) < tc.n {
-			t.Fatalf("%s: table holds %d slots for a population of %d", tc.name, len(tab.gen), tc.n)
+		if len(tab.ent) < tc.n {
+			t.Fatalf("%s: table holds %d slots for a population of %d", tc.name, len(tab.ent), tc.n)
 		}
 	}
 }
 
 // poison stamps every table slot with stamp, displacing to index 0.
-func poison(tab *table, stamp uint64) {
-	for i := range tab.gen {
-		tab.gen[i] = stamp
-		tab.val[i] = 0
+func poison(tab *table, stamp uint32) {
+	for i := range tab.ent {
+		tab.ent[i] = entry{val: 0, gen: stamp}
 	}
 }
 
@@ -408,5 +408,212 @@ func TestScheduleExhausted(t *testing.T) {
 			}()
 			q.Next()
 		}()
+	}
+}
+
+// refUniform is Uniform as first written, verbatim: a map-based partial
+// Fisher-Yates shuffle over math/rand. It pins UniformInto's table and
+// inlined generator to the stream math/rand itself would draw.
+func refUniform(rng *rand.Rand, n, k int) []int {
+	displaced := make(map[int]int, 2*k)
+	out := make([]int, k)
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(n-i)
+		vj, ok := displaced[j]
+		if !ok {
+			vj = j
+		}
+		vi, ok := displaced[i]
+		if !ok {
+			vi = i
+		}
+		out[i] = vj
+		displaced[j] = vi
+		displaced[i] = vj
+	}
+	return out
+}
+
+// TestUniformMatchesMathRand draws with UniformInto and with refUniform
+// over rand.New(rand.NewSource(seed)) from the same seeds, across
+// several register refills, and requires the same samples and the same
+// generator state afterwards.
+func TestUniformMatchesMathRand(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 64, 1000, 1 << 12, 65536, 80000} {
+		for _, seed := range []int64{0, 1, 42, -1, -7, -1 << 40, 1 << 40} {
+			s := New(n, seed)
+			rng := rand.New(rand.NewSource(seed))
+			for _, k := range []int{1, min(n, 500), n, max(1, n/3)} {
+				for draw := 0; draw < 3; draw++ {
+					if got, want := s.UniformInto(make([]int, k)), refUniform(rng, n, k); !slices.Equal(got, want) {
+						t.Fatalf("n=%d seed=%d k=%d draw %d: UniformInto diverged from math/rand", n, seed, k, draw)
+					}
+				}
+			}
+			if got, want := s.Rand().Int63(), rng.Int63(); got != want {
+				t.Errorf("n=%d seed=%d: stream after the draws %d, want %d", n, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestIntnMatchesMathRand pins the source's Intn to rand.Intn where its
+// shortcuts matter: bounds that reject about half the draws (1<<30+1),
+// the largest Int31n bound, and bounds past it that take Int63n.
+func TestIntnMatchesMathRand(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1<<31 + 5, 1<<62 + 1} {
+		for _, seed := range []int64{1, -3, 1 << 40} {
+			src, rng := newSource(seed), rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				if got, want := src.Intn(n), rng.Intn(n); got != want {
+					t.Fatalf("n=%d seed=%d draw %d: Intn = %d, want %d", n, seed, i, got, want)
+				}
+			}
+			if got, want := src.Int63(), rng.Int63(); got != want {
+				t.Errorf("n=%d seed=%d: stream after the draws %d, want %d", n, seed, got, want)
+			}
+		}
+	}
+}
+
+// FuzzStream interleaves Intn, Int63, Float64, Shuffle and Perm, in an
+// order and with bounds read from the fuzz input, on the inlined source
+// and on math/rand from the same seed, and fails at the first value, or
+// permutation, where they part.
+func FuzzStream(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4})
+	f.Add(int64(-5), []byte{3, 0xff, 0xff, 0xff, 0x7f, 4, 0x10, 0x27, 0, 0})
+	f.Add(int64(1<<40), []byte{0, 0x01, 0, 0, 0x40, 0, 0, 0, 0, 2, 2, 2, 3, 0xe8, 0x03})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		src := newSource(seed)
+		got, want := rand.New(src), rand.New(rand.NewSource(seed))
+		for len(ops) > 0 {
+			op := ops[0] % 5
+			ops = ops[1:]
+			// The bound, little-endian: eight bytes for Intn, so both
+			// sides of MaxInt32 and of each shortcut are reachable; two
+			// for Shuffle and Perm lengths.
+			width := 0
+			switch op {
+			case 0:
+				width = 8
+			case 3, 4:
+				width = 2
+			}
+			var n uint64
+			for i := 0; i < width && len(ops) > 0; i++ {
+				n |= uint64(ops[0]) << (8 * i)
+				ops = ops[1:]
+			}
+			switch op {
+			case 0:
+				n = max(1, n&math.MaxInt64)
+				if g, w := src.Intn(int(n)), want.Intn(int(n)); g != w {
+					t.Fatalf("Intn(%d) = %d, want %d", n, g, w)
+				}
+			case 1:
+				if g, w := src.Int63(), want.Int63(); g != w {
+					t.Fatalf("Int63 = %d, want %d", g, w)
+				}
+			case 2:
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("Float64 = %v, want %v", g, w)
+				}
+			case 3:
+				g, w := make([]int, n), make([]int, n)
+				for i := range g {
+					g[i], w[i] = i, i
+				}
+				src.shuffle(g)
+				want.Shuffle(len(w), func(i, j int) { w[i], w[j] = w[j], w[i] })
+				if !slices.Equal(g, w) {
+					t.Fatalf("Shuffle(%d) diverged", n)
+				}
+			case 4:
+				g := make([]int, n)
+				permInto(src, g)
+				if w := want.Perm(int(n)); !slices.Equal(g, w) {
+					t.Fatalf("Perm(%d) diverged", n)
+				}
+			}
+		}
+		if g, w := src.Int63(), want.Int63(); g != w {
+			t.Fatalf("stream after the ops %d, want %d", g, w)
+		}
+	})
+}
+
+// TestScheduleRingBudget pins the ring's size in indices: one ring
+// (ringIndices), or one sample when a sample is larger, whatever the
+// sample size, up to the whole population.
+func TestScheduleRingBudget(t *testing.T) {
+	const n = 80000
+	for _, k := range []int{1, 500, n} {
+		s := New(n, 1)
+		q := s.Schedule(k, 2, 2)
+		if got, budget := cap(s.sc.ring), max(ringIndices, k); got > budget {
+			t.Errorf("k=%d: ring holds %d indices, budget %d", k, got, budget)
+		}
+		if q.per < 1 || q.slots < 1 {
+			t.Errorf("k=%d: %d samples per chunk, %d chunks", k, q.per, q.slots)
+		}
+		s.Release()
+	}
+}
+
+// TestScheduleMatchesSamplerWholePopulation runs TestScheduleMatchesSampler's
+// check at k = n: a population whose ring holds two one-sample chunks,
+// prefetched on 4 procs, and one whose ring holds a single sample, drawn
+// inline on any number of procs.
+func TestScheduleMatchesSamplerWholePopulation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		n          int
+		prefetched bool
+	}{{ringIndices / 2, true}, {ringIndices + 1, false}} {
+		const uniform, epoch, seed = 3, 4, 5
+		ref := New(tc.n, seed)
+		var want [][]int
+		for i := 0; i < uniform; i++ {
+			want = append(want, ref.Uniform(tc.n))
+		}
+		for i := 0; i < epoch; i++ {
+			want = append(want, slices.Clone(ref.Next(tc.n)))
+		}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			s := Acquire(tc.n, seed)
+			q := s.Schedule(tc.n, uniform, epoch)
+			if got := q.full != nil; got != (tc.prefetched && procs == 4) {
+				t.Errorf("n=k=%d procs %d: prefetched = %v", tc.n, procs, got)
+			}
+			for i := range want {
+				if got := q.Next(); !slices.Equal(got, want[i]) {
+					t.Fatalf("n=k=%d procs %d: sample %d differs from the sampler's", tc.n, procs, i)
+				}
+			}
+			s.Release()
+		}
+	}
+}
+
+// BenchmarkScheduleDraw80k draws one default train's schedule inline:
+// 200 uniform draws and 100 epoch draws of 500 over an 80k population,
+// the stream a k = 0.05 school train consumes.
+func BenchmarkScheduleDraw80k(b *testing.B) {
+	const n, k, uniform, epoch = 80000, 500, 200, 100
+	dst := make([]int, k)
+	seed := int64(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		seed++
+		s := Acquire(n, seed)
+		for j := 0; j < uniform; j++ {
+			s.UniformInto(dst)
+		}
+		for j := 0; j < epoch; j++ {
+			s.Next(k)
+		}
+		s.Release()
 	}
 }

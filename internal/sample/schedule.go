@@ -6,13 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// The ring a schedule draws into: a chunk holds chunkSamples samples and
-// ringChunks chunks circulate, so a prefetching helper runs up to two
-// chunks ahead of the step reading the third, and the per-chunk channel
-// hand-off is amortized over chunkSamples steps.
+// The ring a schedule draws into is sized in indices, not samples, so a
+// large sample size cannot pin a large ring in the pool: it holds
+// ringIndices indices, or one sample when a sample is larger. A chunk
+// holds chunkIndices/k samples, at least one, so the channel hand-off is
+// amortized over its samples. A prefetching helper fills chunks up to
+// the ring's end ahead of the step reading: at the default k = 500 the
+// ring holds 12 chunks of 8 samples, so the helper can bank up to 88
+// steps of lead during the uniform draws and spend it on the epoch
+// permutation (80,000 draws on the school cohort) that follows them. A
+// ring that fits fewer than two chunks is drawn inline.
 const (
-	chunkSamples = 8
-	ringChunks   = 3
+	chunkIndices = 4096
+	ringIndices  = 12 * chunkIndices
 )
 
 // inFlight counts schedules between Schedule and Release: the trains in
@@ -24,15 +30,17 @@ var inFlight atomic.Int64
 // epoch draws (Next, Algorithm 2's refinement). It reads only the
 // sampler's seeded stream, never the bonus vector, so it can be drawn
 // ahead of the descent: while (trains in flight) × 2 ≤ GOMAXPROCS a
-// helper goroutine fills a small ring one chunk ahead of the steps;
-// otherwise the consumer fills the same chunks inline. Either way every
-// step gets the same draw, bit for bit. The ring (ringChunks ×
-// chunkSamples × k indices) is the sampler's scratch ring.
+// helper goroutine fills a ring of chunks ahead of the steps; otherwise
+// the consumer fills the same chunks inline. Either way every step gets
+// the same draw, bit for bit. The ring (slots × per × k indices) is the
+// sampler's scratch ring.
 type Schedule struct {
 	s       *Sampler // nil when no schedule is active
 	k       int
 	uniform int // draws [0, uniform) are uniform, [uniform, total) epoch
 	total   int
+	per     int // samples per chunk
+	slots   int // chunks in the ring
 
 	chunk    int // next chunk to read
 	slot     int // ring slot of the chunk being read; -1 before the first
@@ -54,17 +62,19 @@ func (s *Sampler) Schedule(k, uniform, epoch int) *Schedule {
 	if q.s != nil {
 		panic("sample: sampler already runs a schedule")
 	}
-	if size := ringChunks * chunkSamples * k; cap(s.sc.ring) < size {
+	per := max(1, chunkIndices/max(k, 1))
+	slots := max(1, ringIndices/(per*max(k, 1)))
+	if size := slots * per * k; cap(s.sc.ring) < size {
 		s.sc.ring = make([]int, size)
 	}
-	*q = Schedule{s: s, k: k, uniform: uniform, total: uniform + epoch, slot: -1}
-	chunks := (q.total + chunkSamples - 1) / chunkSamples
-	if 2*inFlight.Add(1) <= int64(runtime.GOMAXPROCS(0)) && chunks > 0 {
+	*q = Schedule{s: s, k: k, uniform: uniform, total: uniform + epoch, per: per, slots: slots, slot: -1}
+	chunks := (q.total + per - 1) / per
+	if 2*inFlight.Add(1) <= int64(runtime.GOMAXPROCS(0)) && chunks > 0 && slots > 1 {
 		// Both buffers hold every ring slot, so neither side's send can
-		// block: only ringChunks slots ever circulate.
-		q.full, q.free = make(chan int, ringChunks), make(chan int, ringChunks)
+		// block: only slots chunks ever circulate.
+		q.full, q.free = make(chan int, slots), make(chan int, slots)
 		q.quit, q.done = make(chan struct{}), make(chan struct{})
-		for slot := 0; slot < ringChunks; slot++ {
+		for slot := 0; slot < slots; slot++ {
 			q.free <- slot
 		}
 		go q.prefetch(chunks)
@@ -88,7 +98,7 @@ func (q *Schedule) Next() []int {
 // or received from the helper after handing the finished slot back.
 func (q *Schedule) advance() {
 	c := q.chunk
-	if c*chunkSamples >= q.total {
+	if c*q.per >= q.total {
 		panic("sample: schedule exhausted")
 	}
 	q.chunk++
@@ -102,15 +112,15 @@ func (q *Schedule) advance() {
 		slot = <-q.full
 		q.slot = slot
 	}
-	q.off = slot * chunkSamples * q.k
-	q.end = q.off + (min((c+1)*chunkSamples, q.total)-c*chunkSamples)*q.k
+	q.off = slot * q.per * q.k
+	q.end = q.off + (min((c+1)*q.per, q.total)-c*q.per)*q.k
 }
 
 // fill draws chunk c of the schedule into ring slot slot. It is the only
 // code that touches the sampler's stream once the schedule has started.
 func (q *Schedule) fill(slot, c int) {
-	off := slot * chunkSamples * q.k
-	for i := c * chunkSamples; i < min((c+1)*chunkSamples, q.total); i++ {
+	off := slot * q.per * q.k
+	for i := c * q.per; i < min((c+1)*q.per, q.total); i++ {
 		dst := q.s.sc.ring[off : off+q.k]
 		if i < q.uniform {
 			q.s.UniformInto(dst)
