@@ -13,8 +13,8 @@
 //	dca -in compas.csv -k 0.2 -adverse -objective fpr
 //
 // With -sweep the trained vector is evaluated over a k-grid through the
-// same prefix-sweep engine the fairrankd service uses (rank once, answer
-// every k from prefix aggregates), and the trade-off curve is printed as
+// same evaluation plan the fairrankd service uses (rank once, answer
+// every metric at every k from prefix aggregates), and the trade-off curve is printed as
 // CSV instead of the table: one row per k with nDCG, the disparity vector
 // and its norm, the disparate-impact vector, when the dataset carries
 // outcomes the FPR-difference vector, and when every fairness attribute
@@ -53,6 +53,7 @@ import (
 	"strings"
 
 	"fairrank"
+	"fairrank/internal/core"
 	"fairrank/internal/metrics"
 	"fairrank/internal/report"
 )
@@ -366,52 +367,46 @@ func parseSweepSpec(spec string) ([]float64, error) {
 	return ks, nil
 }
 
-// writeSweepCSV evaluates the trained vector over the k-grid — one
-// ranking per metric, every k from prefix aggregates — and prints the
-// trade-off curve: k, nDCG, the disparity vector and norm, the
-// disparate-impact vector, (with outcomes) the FPR-difference vector,
-// and (with all-binary fairness attributes) the per-capita exposure
-// vector with its DDP, the top-k share deltas, and (when outcomes are
-// also present) the exposure/merit ratios.
+// writeSweepCSV evaluates the trained vector over the k-grid — one plan
+// asks for every metric at every k, so the whole curve costs one ranking
+// — and prints the trade-off curve: k, nDCG, the disparity vector and
+// norm, the disparate-impact vector, (with outcomes) the FPR-difference
+// vector, and (with all-binary fairness attributes) the per-capita
+// exposure vector with its DDP, the top-k share deltas, and (when
+// outcomes are also present) the exposure/merit ratios.
 func writeSweepCSV(d *fairrank.Dataset, ev *fairrank.Evaluator, bonus []float64, ks []float64) error {
-	points := make([]fairrank.SweepPoint, len(ks))
-	for i, k := range ks {
-		points[i] = fairrank.SweepPoint{Bonus: bonus, K: k}
-	}
-	ndcg, err := ev.NDCGSweep(points)
-	if err != nil {
-		return err
-	}
-	disp, err := ev.DisparitySweep(points)
-	if err != nil {
-		return err
-	}
-	di, err := ev.DisparateImpactSweep(points)
-	if err != nil {
-		return err
-	}
-	var fpr [][]float64
-	if d.HasOutcomes() {
-		fpr, err = ev.FPRDiffSweep(points)
-		if err != nil {
-			return err
-		}
-	}
-	var expo, topk, ratio [][]float64
 	binaryFair, _ := d.BinaryFairColumns()
-	if binaryFair && d.NumFair() > 0 {
-		if expo, err = ev.ExposureSweep(points); err != nil {
-			return err
-		}
-		if topk, err = ev.TopKSweep(points); err != nil {
-			return err
-		}
+	binaryFair = binaryFair && d.NumFair() > 0
+	kinds := []core.BatchKind{core.BatchNDCG, core.BatchDisparity, core.BatchDisparateImpact}
+	if d.HasOutcomes() {
+		kinds = append(kinds, core.BatchFPRDiff)
+	}
+	if binaryFair {
+		kinds = append(kinds, core.BatchExposure, core.BatchTopK)
 		if d.HasOutcomes() {
-			if ratio, err = ev.ExpRatioSweep(points); err != nil {
-				return err
-			}
+			kinds = append(kinds, core.BatchExpRatio)
 		}
 	}
+	qs := make([]core.BatchQuery, 0, len(ks)*len(kinds))
+	for _, k := range ks {
+		for _, kind := range kinds {
+			qs = append(qs, core.BatchQuery{Kind: kind, K: k})
+		}
+	}
+	answers, err := ev.AnswerBatch(bonus, qs)
+	if err != nil {
+		return err
+	}
+	// col[kind][i] is the answer for kind at ks[i].
+	col := make(map[core.BatchKind][]core.BatchAnswer, len(kinds))
+	for i, a := range answers {
+		if a.Err != nil {
+			return fmt.Errorf("core: sweep point %d (k=%g): %w", i/len(kinds), qs[i].K, a.Err)
+		}
+		col[qs[i].Kind] = append(col[qs[i].Kind], a)
+	}
+	ndcg, disp, di := col[core.BatchNDCG], col[core.BatchDisparity], col[core.BatchDisparateImpact]
+	fpr, expo, topk, ratio := col[core.BatchFPRDiff], col[core.BatchExposure], col[core.BatchTopK], col[core.BatchExpRatio]
 
 	// Exposure groups are the binary attributes plus the trailing "rest"
 	// group (objects belonging to none).
@@ -446,36 +441,25 @@ func writeSweepCSV(d *fairrank.Dataset, ev *fairrank.Evaluator, bonus []float64,
 	fmt.Println(strings.Join(cols, ","))
 	for i, k := range ks {
 		row := make([]string, 0, len(cols))
-		row = append(row, strconv.FormatFloat(k, 'g', -1, 64), strconv.FormatFloat(ndcg[i], 'g', -1, 64))
-		for _, v := range disp[i] {
-			row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		row = append(row, strconv.FormatFloat(metrics.Norm(disp[i]), 'g', -1, 64))
-		for _, v := range di[i] {
-			row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		if fpr != nil {
-			for _, v := range fpr[i] {
+		add := func(vs ...float64) {
+			for _, v := range vs {
 				row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
 			}
+		}
+		add(k, ndcg[i].Value)
+		add(disp[i].Vector...)
+		add(metrics.Norm(disp[i].Vector))
+		add(di[i].Vector...)
+		if fpr != nil {
+			add(fpr[i].Vector...)
 		}
 		if expo != nil {
-			for _, v := range expo[i] {
-				row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
-			}
-			ddp, err := metrics.DDPFromPerCapita(expo[i])
-			if err != nil {
-				return err
-			}
-			row = append(row, strconv.FormatFloat(ddp, 'g', -1, 64))
-			for _, v := range topk[i] {
-				row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
-			}
+			add(expo[i].Vector...)
+			add(expo[i].Value)
+			add(topk[i].Vector...)
 		}
 		if ratio != nil {
-			for _, v := range ratio[i] {
-				row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
-			}
+			add(ratio[i].Vector...)
 		}
 		fmt.Println(strings.Join(row, ","))
 	}

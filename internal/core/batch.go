@@ -2,33 +2,40 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 
 	"fairrank/internal/engine"
-	"fairrank/internal/faultinject"
 	"fairrank/internal/metrics"
 	"fairrank/internal/rank"
 )
 
-// Cross-request batch pass. Because bonus points enter the effective
-// score additively (Definition 2), the ranked order under a (dataset,
-// bonus) pair does not depend on the selection fraction, the metric, or
-// the object ids being asked about — so any number of concurrent
-// requests that share a bonus vector are answerable from ONE ranked
-// prefix sized to their maximum cut. AnswerBatch is that entry point:
-// the service micro-batcher collects heterogeneous (k, ids, metric)
-// queries behind one window and this pass answers them all.
+// The evaluation plan. Because bonus points enter the effective score
+// additively (Definition 2), the ranked order under a (dataset, bonus)
+// pair does not depend on the selection fraction, the metric, or the
+// object ids being asked about — so any set of questions about one bonus
+// vector is answerable from ONE ranked prefix sized to their maximum cut.
+// A plan is that set: every evaluator entry point builds one (or, for a
+// multi-bonus sweep, one per bonus group) and runs it.
 //
-// Every answer is bit-identical to the corresponding per-request
-// evaluator (the sweep engines, CounterfactualBatch, BundleStats): the
-// prefix aggregates resume the same left-to-right folds over the same
-// total order — a fold's value at a cut does not depend on which other
-// cuts share the grid — and the counterfactual and bundle finishers are
-// the same functions the per-request paths call. The batching-equivalence
-// suites (core batch_test.go, service batch_differential_test.go) pin
-// this byte-for-byte.
+//   - validation happens once, up front, for every query of the plan;
+//   - rankedPrefixWS ranks once (combo-run merge → bounded-heap prefix →
+//     full order);
+//   - each metric kind runs its prefix fold once over the ascending union
+//     of its queries' cuts and its finisher turns one row per query into
+//     the answer — a fold's value at a cut does not depend on which other
+//     cuts share the grid, so answers are bit-identical however queries
+//     are grouped;
+//   - counterfactual, bundle and explanation queries read the same order;
+//     bundles add one leave-one-out prefix per attribute with a non-zero
+//     bonus, fanned out beside the primary pass and shared by every bundle
+//     of the plan.
+//
+// AnswerBatch exposes the plan directly: the service micro-batcher
+// collects heterogeneous (k, ids, metric) queries behind one window and
+// one plan answers them all.
 
 // BatchKind selects what one BatchQuery asks of the shared pass.
 type BatchKind int
@@ -62,7 +69,14 @@ const (
 	// BatchTopK asks for the top-K rank-fairness share vector of the top-K
 	// selection; fairness attributes must be binary.
 	BatchTopK
+	// BatchExplain asks for the transparency report (Explain) of the top-K
+	// selection.
+	BatchExplain
 )
+
+// metricKinds are the kinds answered by a prefix fold plus a finisher —
+// the kinds a sweep can ask for.
+var metricKinds = [...]BatchKind{BatchDisparity, BatchNDCG, BatchDisparateImpact, BatchFPRDiff, BatchExposure, BatchExpRatio, BatchTopK}
 
 // BatchQuery is one member request of a shared-bonus batch.
 type BatchQuery struct {
@@ -92,15 +106,192 @@ type BatchAnswer struct {
 	Counterfactuals []Counterfactual
 	// Bundle holds a BatchBundle query's results.
 	Bundle *BundleStats
+	// Explanation holds a BatchExplain query's report.
+	Explanation *Explanation
 	// Err is the query's own failure; the other fields are zero.
 	Err error
 }
 
 // batchGeom is the per-query pass geometry resolved during validation.
 type batchGeom struct {
+	cnt     int // selection count; a BatchNDCG query's prefix-DCG cut
 	cut     int // leading positions of the shared order this query reads
-	cnt     int // selection count (all kinds but BatchNDCG)
 	ndcgCut int // bundle utility cut
+}
+
+// plan is one shared-bonus evaluation: its validated queries, their pass
+// geometry, and the answers the pass fills, all in query order.
+type plan struct {
+	e      *Evaluator
+	given  []float64 // the bonus as the caller spelled it
+	bonus  []float64 // canonical: nil ranks by the cached base order
+	qs     []BatchQuery
+	geom   []batchGeom
+	ans    []BatchAnswer
+	maxCut int
+	full   bool // a counterfactual needs every object's rank
+}
+
+// queryError is one query's validation failure. Error words it as
+// AnswerBatch reports it, locating the query; the cause is what the
+// single-query entry points have always returned.
+type queryError struct {
+	msg   string
+	cause error
+}
+
+func (q *queryError) Error() string { return q.msg }
+func (q *queryError) Unwrap() error { return q.cause }
+
+// fracError locates a selection-fraction failure of query i.
+func fracError(i int, k float64, err error) error {
+	return &queryError{fmt.Sprintf("core: batch query %d (k=%g): %v", i, k, err), err}
+}
+
+// plainErr strips a queryError down to its cause.
+func plainErr(err error) error {
+	var qe *queryError
+	if errors.As(err, &qe) {
+		return qe.cause
+	}
+	return err
+}
+
+// kindGuard checks the dataset capabilities a query kind needs.
+func (e *Evaluator) kindGuard(kind BatchKind) error {
+	switch kind {
+	case BatchFPRDiff:
+		if !e.d.HasOutcomes() {
+			return fmt.Errorf("core: FPR evaluation requires outcomes")
+		}
+	case BatchExposure, BatchExpRatio, BatchTopK:
+		if err := e.exposureGuard(); err != nil {
+			return err
+		}
+		if kind == BatchExpRatio && !e.d.HasOutcomes() {
+			return fmt.Errorf("core: exposure/merit ratio requires outcomes")
+		}
+	}
+	return nil
+}
+
+// vectorWidth is the row width of a kind's Vector answer (0: none).
+func (e *Evaluator) vectorWidth(kind BatchKind) int {
+	switch kind {
+	case BatchDisparity, BatchDisparateImpact, BatchFPRDiff, BatchExpRatio, BatchTopK:
+		return e.d.NumFair()
+	case BatchExposure:
+		return e.d.NumFair() + 1
+	}
+	return 0
+}
+
+// queryGeom validates query i against the dataset and the canonical plan
+// bonus and resolves its pass geometry.
+func (e *Evaluator) queryGeom(i int, q *BatchQuery, bonus []float64) (batchGeom, error) {
+	n := e.d.N()
+	var g batchGeom
+	switch q.Kind {
+	case BatchDisparity, BatchDisparateImpact, BatchFPRDiff, BatchExposure, BatchExpRatio, BatchTopK, BatchExplain, BatchCounterfactual:
+		if err := e.kindGuard(q.Kind); err != nil {
+			return g, err
+		}
+		cnt, err := rank.SelectCount(n, q.K)
+		if err != nil {
+			return g, fracError(i, q.K, err)
+		}
+		g.cnt, g.cut = cnt, cnt
+		if q.Kind != BatchCounterfactual {
+			break
+		}
+		for _, obj := range q.Objects {
+			if obj < 0 || obj >= n {
+				return g, &queryError{fmt.Sprintf("core: batch query %d: object %d outside [0,%d)", i, obj, n),
+					fmt.Errorf("core: object %d outside [0,%d)", obj, n)}
+			}
+		}
+		if cnt < n {
+			g.cut = cnt + 1 // the first excluded object is a boundary competitor too
+		}
+	case BatchNDCG:
+		cut, err := metrics.PrefixCount(n, q.K)
+		if err != nil {
+			return g, fracError(i, q.K, err)
+		}
+		g.cnt, g.cut = cut, cut
+	case BatchBundle:
+		b := q.Bundle
+		if b == nil {
+			return g, fmt.Errorf("core: batch query %d: bundle query without a config", i)
+		}
+		if !slices.Equal(canonBonus(b.Bonus), bonus) {
+			return g, fmt.Errorf("core: batch query %d: bundle bonus differs from the batch bonus", i)
+		}
+		if b.Margins < 0 {
+			return g, fmt.Errorf("core: margin window %d is negative", b.Margins)
+		}
+		if b.IncludeFPR {
+			if err := e.kindGuard(BatchFPRDiff); err != nil {
+				return g, err
+			}
+		}
+		if b.IncludeExposure {
+			if err := e.exposureGuard(); err != nil {
+				return g, err
+			}
+		}
+		cnt, err := rank.SelectCount(n, b.K)
+		if err != nil {
+			return g, fracError(i, b.K, err)
+		}
+		// The nDCG cut resolves through the metric package's own fraction
+		// arithmetic, exactly as a BatchNDCG query does.
+		ndcgCut, err := metrics.PrefixCount(n, b.K)
+		if err != nil {
+			return g, fracError(i, b.K, err)
+		}
+		g.cnt, g.ndcgCut = cnt, ndcgCut
+		g.cut = max(min(cnt+b.Margins, n), ndcgCut)
+	default:
+		return g, fmt.Errorf("core: batch query %d: unknown kind %d", i, q.Kind)
+	}
+	return g, nil
+}
+
+// init validates a shared-bonus plan once, up front — the bonus
+// dimensions, a non-empty dataset, then every query in order — and carves
+// each vector answer from one backing array. geom and ans are len(qs)
+// scratch the plan adopts.
+func (p *plan) init(e *Evaluator, bonus []float64, qs []BatchQuery, geom []batchGeom, ans []BatchAnswer) error {
+	if err := e.checkBonusDims(bonus); err != nil {
+		return err
+	}
+	if e.d.N() == 0 {
+		return fmt.Errorf("core: cannot evaluate an empty dataset")
+	}
+	*p = plan{e: e, given: bonus, bonus: canonBonus(bonus), qs: qs, geom: geom, ans: ans}
+	width := 0
+	for i := range qs {
+		g, err := e.queryGeom(i, &qs[i], p.bonus)
+		if err != nil {
+			return err
+		}
+		p.add(i, g)
+		width += e.vectorWidth(qs[i].Kind)
+	}
+	rows := make([]float64, width)
+	for i := range qs {
+		w := e.vectorWidth(qs[i].Kind)
+		ans[i].Vector, rows = rows[:w:w], rows[w:]
+	}
+	return nil
+}
+
+// add records query i's validated geometry.
+func (p *plan) add(i int, g batchGeom) {
+	p.geom[i] = g
+	p.maxCut = max(p.maxCut, g.cut)
+	p.full = p.full || p.qs[i].Kind == BatchCounterfactual
 }
 
 // AnswerBatch answers every query from one shared ranked pass under the
@@ -111,241 +302,247 @@ func (e *Evaluator) AnswerBatch(bonus []float64, qs []BatchQuery) ([]BatchAnswer
 
 // AnswerBatchCtx validates every query up front (a batch-wide error, so
 // the service layer can keep malformed requests out of the window), then
-// acquires one ranked prefix sized to the batch's maximum cut and answers
-// each query from it: metric queries through the sweep engine's prefix
-// folds over per-kind cut grids, counterfactual queries through the
-// combo-run rank lookups (merged pass) or the shared full order,
-// bundle queries through the BundleStats finishers plus one shared
-// leave-one-out fan. The ranking budget is one pass for the whole batch
+// runs one plan: one ranked prefix sized to the batch's maximum cut
+// answers every query. The ranking budget is one pass for the whole batch
 // — plus, when bundles are present, one leave-one-out prefix per
 // attribute with a non-zero bonus, shared across every bundle — instead
-// of one per request; a zero bonus is answered from the cached base
-// order for free.
+// of one per request; a zero bonus is answered from the cached base order
+// for free.
 //
-// Cancellation is cooperative per PR 8's contract: ctx is the BATCH's
+// Cancellation is cooperative: ctx is the BATCH's
 // context, not any one caller's — the batcher cancels it only when every
 // member is gone, so one caller's disconnect never poisons the rest. A
 // non-nil error means no answers were produced.
 func (e *Evaluator) AnswerBatchCtx(ctx context.Context, bonus []float64, qs []BatchQuery) ([]BatchAnswer, error) {
-	if err := e.checkBonusDims(bonus); err != nil {
+	var p plan
+	if err := p.init(e, bonus, qs, make([]batchGeom, len(qs)), make([]BatchAnswer, len(qs))); err != nil || len(qs) == 0 {
 		return nil, err
 	}
-	n := e.d.N()
-	if n == 0 {
-		return nil, fmt.Errorf("core: cannot evaluate an empty dataset")
+	if err := p.run(ctx); err != nil {
+		return nil, err
 	}
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	bonus = canonBonus(bonus)
+	return p.ans, nil
+}
 
-	geom := make([]batchGeom, len(qs))
-	maxCut := 0
-	hasCF := false
-	for i := range qs {
-		q := &qs[i]
-		g := &geom[i]
-		switch q.Kind {
-		case BatchDisparity, BatchDisparateImpact, BatchFPRDiff:
-			if q.Kind == BatchFPRDiff && !e.d.HasOutcomes() {
-				return nil, fmt.Errorf("core: FPR evaluation requires outcomes")
-			}
-			cnt, err := rank.SelectCount(n, q.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, q.K, err)
-			}
-			g.cnt, g.cut = cnt, cnt
-		case BatchExposure, BatchExpRatio, BatchTopK:
-			if err := e.exposureGuard(); err != nil {
-				return nil, err
-			}
-			if q.Kind == BatchExpRatio && !e.d.HasOutcomes() {
-				return nil, fmt.Errorf("core: exposure/merit ratio requires outcomes")
-			}
-			cnt, err := rank.SelectCount(n, q.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, q.K, err)
-			}
-			g.cnt, g.cut = cnt, cnt
-		case BatchNDCG:
-			cut, err := metrics.PrefixCount(n, q.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, q.K, err)
-			}
-			g.cut = cut
-		case BatchCounterfactual:
-			cnt, err := rank.SelectCount(n, q.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, q.K, err)
-			}
-			for _, obj := range q.Objects {
-				if obj < 0 || obj >= n {
-					return nil, fmt.Errorf("core: batch query %d: object %d outside [0,%d)", i, obj, n)
-				}
-			}
-			g.cnt, g.cut = cnt, cnt
-			if cnt < n {
-				g.cut = cnt + 1 // the first excluded object is a boundary competitor too
-			}
-			hasCF = true
-		case BatchBundle:
-			b := q.Bundle
-			if b == nil {
-				return nil, fmt.Errorf("core: batch query %d: bundle query without a config", i)
-			}
-			if !slices.Equal(canonBonus(b.Bonus), bonus) {
-				return nil, fmt.Errorf("core: batch query %d: bundle bonus differs from the batch bonus", i)
-			}
-			if b.Margins < 0 {
-				return nil, fmt.Errorf("core: margin window %d is negative", b.Margins)
-			}
-			if b.IncludeFPR && !e.d.HasOutcomes() {
-				return nil, fmt.Errorf("core: FPR evaluation requires outcomes")
-			}
-			if b.IncludeExposure {
-				if err := e.exposureGuard(); err != nil {
-					return nil, err
-				}
-			}
-			cnt, err := rank.SelectCount(n, b.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, b.K, err)
-			}
-			ndcgCut, err := metrics.PrefixCount(n, b.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, b.K, err)
-			}
-			g.cnt, g.ndcgCut = cnt, ndcgCut
-			p := cnt + b.Margins
-			if p > n {
-				p = n
-			}
-			g.cut = p
-			if ndcgCut > g.cut {
-				g.cut = ndcgCut
-			}
-		default:
-			return nil, fmt.Errorf("core: batch query %d: unknown kind %d", i, q.Kind)
-		}
-		if g.cut > maxCut {
-			maxCut = g.cut
+// onePlan is a one-query plan with its scratch inline, so a pointwise
+// entry point costs one allocation for the plan.
+type onePlan struct {
+	plan
+	q [1]BatchQuery
+	g [1]batchGeom
+	a [1]BatchAnswer
+}
+
+// answerOne runs q as a one-query plan. Validation failures come back as
+// the single-query entry points have always worded them, and the answer's
+// own Err is returned as the error.
+func (e *Evaluator) answerOne(ctx context.Context, bonus []float64, q BatchQuery) (BatchAnswer, error) {
+	o := &onePlan{q: [1]BatchQuery{q}}
+	if err := o.init(e, bonus, o.q[:], o.g[:], o.a[:]); err != nil {
+		return BatchAnswer{}, plainErr(err)
+	}
+	if err := o.run(ctx); err != nil {
+		return BatchAnswer{}, err
+	}
+	return o.a[0], o.a[0].Err
+}
+
+// run answers the plan. Without bundles (or under a zero bonus) it is one
+// ranked pass on a pooled workspace; with them, the primary pass runs as
+// task 0 of the leave-one-out fan, so on a multicore box the distinct
+// rankings overlap.
+func (p *plan) run(ctx context.Context) error {
+	e := p.e
+	var looJobs, bcuts []int
+	for i := range p.qs {
+		if p.qs[i].Kind == BatchBundle && p.bonus != nil {
+			bcuts = append(bcuts, p.geom[i].cnt)
 		}
 	}
-
-	ws := e.ws()
-	defer e.put(ws)
-
-	// One shared pass sized to the batch's maximum cut, routed exactly as
-	// rankedPrefixWS routes a single request — written out here because
-	// the counterfactual answers need to know WHICH route was taken: a
-	// merged prefix keeps the MergeScratch live for per-object RankOf
-	// lookups, while a non-merged pass with counterfactual queries must be
-	// a full order (arbitrary object ids live anywhere in it).
-	var (
-		order  []int
-		eff    []float64
-		merged bool
-	)
-	if bonus == nil {
-		// The cached uncompensated order answers the whole batch for free.
-		order, eff = e.origOrd, e.base
-	} else {
-		if err := faultinject.Fire(ctx, faultinject.SiteRankPrefix); err != nil {
-			return nil, err
-		}
-		if e.mergeEligible(maxCut) {
-			pre, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, maxCut, ws.Merge(), ws.Ord(maxCut), ws.Eff(n))
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				e.merges.Add(1)
-				order, eff, merged = pre, ws.Eff(n), true
-			}
-		}
-		if order == nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			eff = rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, ws.Eff(n))
-			e.rankings.Add(1)
-			if hasCF || maxCut >= n/2 {
-				order = rank.OrderInto(eff, ws.Ord(n))
-			} else {
-				order = rank.TopKHeapInto(eff, maxCut, ws.Ord(maxCut))
-				rank.SortRanked(eff, order)
+	if bcuts != nil {
+		for j, b := range p.bonus {
+			if b != 0 {
+				looJobs = append(looJobs, j)
 			}
 		}
 	}
+	if len(looJobs) == 0 {
+		ws := e.ws()
+		defer e.put(ws)
+		if err := p.pass(ctx, ws); err != nil {
+			return err
+		}
+		p.finishBundles(nil, nil, nil)
+		return nil
+	}
 
-	answers := make([]BatchAnswer, len(qs))
+	// Leave-one-out norms at every bundle's selection count, from one
+	// prefix per withdrawn attribute sized to the largest of them.
+	sort.Ints(bcuts)
+	bcuts = slices.Compact(bcuts)
 	dims := e.d.NumFair()
+	looBacking := make([]float64, len(looJobs)*dims)
+	looNorms := make([]float64, len(looJobs)*len(bcuts))
+	terrs := make([]error, 1+len(looJobs))
+	perr := e.parallelCtx(ctx, 1+len(looJobs), func(ws *engine.Workspace, t int) {
+		if t == 0 {
+			terrs[0] = p.pass(ctx, ws)
+			return
+		}
+		r := t - 1
+		vec := looBacking[r*dims : (r+1)*dims]
+		copy(vec, p.bonus)
+		vec[looJobs[r]] = 0
+		ord, _, err := e.rankedPrefixWS(ctx, ws, vec, bcuts[len(bcuts)-1], false)
+		if err != nil {
+			terrs[t] = err
+			return
+		}
+		disp := make([]BatchAnswer, len(bcuts))
+		at := make([]int, len(bcuts))
+		for c := range disp {
+			disp[c].Vector, at[c] = make([]float64, dims), c
+		}
+		e.fold(ws, ord, BatchDisparity, bcuts, at, at, disp)
+		for c := range disp {
+			looNorms[r*len(bcuts)+c] = metrics.Norm(disp[c].Vector)
+		}
+	})
+	if err := firstErr(perr, terrs); err != nil {
+		return err
+	}
+	p.finishBundles(looJobs, bcuts, looNorms)
+	return nil
+}
 
-	// Metric queries: per-kind ascending cut grids through the exact
-	// prefix folds the sweep engine runs. A fold's value at a cut is
-	// independent of the rest of the grid, so sharing a grid (and a
-	// longer-than-necessary order) changes nothing bit-wise.
-	if idx, cuts, pos := batchGrid(qs, geom, BatchDisparity); len(idx) > 0 {
-		cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(len(cuts)*dims))
+// pass ranks once and answers every query from that order: the metric
+// kinds through their prefix folds, then counterfactuals, bundles and
+// explanations. Only a failed ranking (cancellation) is an error; a
+// query's data-dependent failure lands in its own answer.
+func (p *plan) pass(ctx context.Context, ws *engine.Workspace) error {
+	e := p.e
+	order, merged, err := e.rankedPrefixWS(ctx, ws, p.bonus, p.maxCut, p.full)
+	if err != nil {
+		return err
+	}
+	eff := e.base
+	if p.bonus != nil {
+		eff = ws.Eff(e.d.N()) // filled by rankedPrefixWS for every id it emits
+	}
+
+	// Grid scratch, reused kind by kind: the queries of one kind (idx),
+	// their deduplicated ascending cuts, and each query's cut position.
+	nm := 0
+	for i := range p.qs {
+		if slices.Contains(metricKinds[:], p.qs[i].Kind) {
+			nm++
+		}
+	}
+	grid := make([]int, 3*nm)
+	for _, kind := range metricKinds {
+		idx := grid[:0:nm]
+		for i := range p.qs {
+			if p.qs[i].Kind == kind {
+				idx = append(idx, i)
+			}
+		}
+		if len(idx) == 0 {
+			continue
+		}
+		cuts, pos := grid[nm:nm+len(idx)], grid[2*nm:2*nm+len(idx)]
 		for r, qi := range idx {
-			row := cent[pos[r]*dims : (pos[r]+1)*dims]
-			dst := make([]float64, dims)
+			cuts[r] = p.geom[qi].cnt
+		}
+		sort.Ints(cuts)
+		cuts = slices.Compact(cuts)
+		for r, qi := range idx {
+			pos[r], _ = slices.BinarySearch(cuts, p.geom[qi].cnt)
+		}
+		e.fold(ws, order, kind, cuts, pos, idx, p.ans)
+	}
+
+	for i := range p.qs {
+		q, g := &p.qs[i], &p.geom[i]
+		switch q.Kind {
+		case BatchCounterfactual:
+			// A merged pass answers objects through the per-run rank
+			// lookups (the scratch retains the merge offsets); the full
+			// order answers them by inverting the permutation.
+			if !merged {
+				p.ans[i].Counterfactuals = e.counterfactualsWS(ws, order, eff, g.cnt, q.Objects)
+				continue
+			}
+			cfs, ok := e.counterfactualsMergeWS(ws, order, p.bonus, g.cnt, q.Objects)
+			if !ok {
+				return fmt.Errorf("core: batch rank lookup failed after a validated merge")
+			}
+			p.ans[i].Counterfactuals = cfs
+		case BatchBundle:
+			p.ans[i].Bundle, p.ans[i].Err = e.bundleWS(ws, order, eff, q.Bundle, g)
+		case BatchExplain:
+			p.ans[i].Explanation = e.explainWS(ws, order, eff, p.given, q.K, g.cnt)
+		}
+	}
+	return nil
+}
+
+// fold is the one implementation of every metric kind: the kind's prefix
+// fold runs once over order at the ascending cuts, and its finisher turns
+// the row at cuts[pos[r]] into answer ans[idx[r]], writing its preset
+// Vector (or Value, or Err).
+func (e *Evaluator) fold(ws *engine.Workspace, order []int, kind BatchKind, cuts, pos, idx []int, ans []BatchAnswer) {
+	n, dims, nc := e.d.N(), e.d.NumFair(), len(cuts)
+	gw := dims + 1
+	switch kind {
+	case BatchDisparity:
+		cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(nc*dims))
+		for r, qi := range idx {
+			row, dst := cent[pos[r]*dims:], ans[qi].Vector
 			for j := range dst {
 				dst[j] = row[j] - e.centroid[j]
 			}
-			answers[qi].Vector = dst
 		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchNDCG); len(idx) > 0 {
-		nc := len(cuts)
+	case BatchNDCG:
 		agg := ws.Agg(2 * nc)
 		corrected := metrics.PrefixDCGInto(e.base, order, cuts, agg[:nc])
 		ideal := metrics.PrefixDCGInto(e.base, e.origOrd, cuts, agg[nc:])
 		for r, qi := range idx {
-			c := pos[r]
-			if ideal[c] == 0 {
-				answers[qi].Err = metrics.ErrZeroIdealDCG
-				continue
+			if c := pos[r]; ideal[c] == 0 {
+				ans[qi].Err = metrics.ErrZeroIdealDCG
+			} else {
+				ans[qi].Value = corrected[c] / ideal[c]
 			}
-			answers[qi].Value = corrected[c] / ideal[c]
 		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchDisparateImpact); len(idx) > 0 {
-		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(len(cuts)*dims))
+	case BatchDisparateImpact, BatchTopK:
+		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(nc*dims))
 		for r, qi := range idx {
-			c := pos[r]
-			row := counts[c*dims : (c+1)*dims]
-			sel := cuts[c]
-			dst := make([]float64, dims)
+			row, sel, dst := counts[pos[r]*dims:], cuts[pos[r]], ans[qi].Vector
 			for j := range dst {
-				dst[j] = metrics.ImpactFromCounts(row[j], e.groupTot[j], sel-row[j], n-e.groupTot[j])
+				if kind == BatchTopK {
+					dst[j] = metrics.TopKFromCounts(row[j], sel, e.groupTot[j], n)
+				} else {
+					dst[j] = metrics.ImpactFromCounts(row[j], e.groupTot[j], sel-row[j], n-e.groupTot[j])
+				}
 			}
-			answers[qi].Vector = dst
 		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchFPRDiff); len(idx) > 0 {
-		nc := len(cuts)
+	case BatchFPRDiff:
 		cnts := ws.Cnts(nc*dims + nc)
 		rows, all := cnts[:nc*dims], cnts[nc*dims:]
 		metrics.PrefixFPCountsInto(e.d, order, cuts, rows, all)
 		for r, qi := range idx {
-			c := pos[r]
-			dst := make([]float64, dims)
-			if e.negAll != 0 {
-				overall := float64(all[c]) / float64(e.negAll)
-				row := rows[c*dims : (c+1)*dims]
-				for j := range dst {
-					if e.negTot[j] != 0 {
-						dst[j] = float64(row[j])/float64(e.negTot[j]) - overall
-					}
+			c, dst := pos[r], ans[qi].Vector
+			clear(dst)
+			if e.negAll == 0 {
+				continue
+			}
+			overall := float64(all[c]) / float64(e.negAll)
+			for j := range dst {
+				if e.negTot[j] != 0 {
+					dst[j] = float64(rows[c*dims+j])/float64(e.negTot[j]) - overall
 				}
 			}
-			answers[qi].Vector = dst
 		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchExposure); len(idx) > 0 {
-		gw := dims + 1
-		nc := len(cuts)
+	case BatchExposure:
 		expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(gw), ws.Agg(nc*gw))
 		sizes := metrics.PrefixExposureCountsInto(e.d, order, cuts, ws.Cnts(nc*gw))
 		for r, qi := range idx {
@@ -353,289 +550,90 @@ func (e *Evaluator) AnswerBatchCtx(ctx context.Context, bonus []float64, qs []Ba
 			row, szs := expo[c*gw:(c+1)*gw], sizes[c*gw:(c+1)*gw]
 			ddp, err := metrics.DDPFromExposure(row, szs)
 			if err != nil {
-				answers[qi].Err = err
+				ans[qi].Vector, ans[qi].Err = nil, err
 				continue
 			}
-			dst := make([]float64, gw)
-			metrics.ExposurePerCapitaInto(row, szs, dst)
-			answers[qi].Vector = dst
-			answers[qi].Value = ddp
+			metrics.ExposurePerCapitaInto(row, szs, ans[qi].Vector)
+			ans[qi].Value = ddp
 		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchExpRatio); len(idx) > 0 {
-		gw := dims + 1
-		nc := len(cuts)
+	case BatchExpRatio:
 		expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(gw), ws.Agg(nc*gw))
 		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(nc*dims))
 		for r, qi := range idx {
-			c := pos[r]
-			erow := expo[c*gw : c*gw+dims]
-			crow := counts[c*dims : (c+1)*dims]
-			dst := make([]float64, dims)
+			erow, crow, dst := expo[pos[r]*gw:], counts[pos[r]*dims:], ans[qi].Vector
 			for j := range dst {
 				dst[j] = metrics.ExpRatioFromCounts(erow[j], crow[j], e.groupTot[j]-e.negTot[j], e.groupTot[j])
 			}
-			answers[qi].Vector = dst
 		}
 	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchTopK); len(idx) > 0 {
-		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(len(cuts)*dims))
-		for r, qi := range idx {
-			c := pos[r]
-			row := counts[c*dims : (c+1)*dims]
-			sel := cuts[c]
-			dst := make([]float64, dims)
-			for j := range dst {
-				dst[j] = metrics.TopKFromCounts(row[j], sel, e.groupTot[j], n)
-			}
-			answers[qi].Vector = dst
-		}
-	}
-
-	// Counterfactual queries. A merged pass answers objects through the
-	// per-run rank lookups (the scratch retains the merge offsets); the
-	// full-order paths invert the shared permutation. Both finish through
-	// finishCounterfactual, so the results are bit-identical to
-	// CounterfactualBatch by construction.
-	for i := range qs {
-		if qs[i].Kind != BatchCounterfactual {
-			continue
-		}
-		if merged {
-			cfs, ok := e.counterfactualsMergeWS(ws, order, bonus, geom[i].cnt, qs[i].Objects)
-			if !ok {
-				return nil, fmt.Errorf("core: batch rank lookup failed after a validated merge")
-			}
-			answers[i].Counterfactuals = cfs
-		} else {
-			answers[i].Counterfactuals = e.counterfactualsWS(ws, order, bonus, geom[i].cnt, qs[i].Objects)
-		}
-	}
-
-	// Bundle queries: the compensated-order and base-order quantities come
-	// from the shared pass; the leave-one-out fan below is shared across
-	// every bundle in the batch (they all audit the batch bonus).
-	var bundles []int
-	for i := range qs {
-		if qs[i].Kind == BatchBundle {
-			bundles = append(bundles, i)
-		}
-	}
-	for _, qi := range bundles {
-		cfg := qs[qi].Bundle
-		g := &geom[qi]
-		bcopy := make([]float64, dims)
-		copy(bcopy, cfg.Bonus)
-		st := &BundleStats{
-			K:               cfg.K,
-			Selected:        g.cnt,
-			FairNames:       e.d.FairNames(),
-			Bonus:           bcopy,
-			GroupCounts:     make([]int, dims),
-			BaseGroupCounts: make([]int, dims),
-			LeaveOneOut:     make([]float64, dims),
-			Contribution:    make([]float64, dims),
-		}
-		if err := e.bundleFromShared(ws, order, eff, cfg, st, g.cnt, g.ndcgCut); err != nil {
-			answers[qi].Err = err
-			continue
-		}
-		answers[qi].Bundle = st
-	}
-	if len(bundles) > 0 && bonus != nil {
-		var looJobs []int
-		for j, b := range bonus {
-			if b != 0 {
-				looJobs = append(looJobs, j)
-			}
-		}
-		bcuts := make([]int, 0, len(bundles))
-		for _, qi := range bundles {
-			if answers[qi].Bundle != nil {
-				bcuts = append(bcuts, geom[qi].cnt)
-			}
-		}
-		sort.Ints(bcuts)
-		bcuts = slices.Compact(bcuts)
-		if len(looJobs) > 0 && len(bcuts) > 0 {
-			looBacking := make([]float64, len(looJobs)*dims)
-			looNorms := make([]float64, len(looJobs)*len(bcuts))
-			terrs := make([]error, len(looJobs))
-			perr := e.parallelCtx(ctx, len(looJobs), func(lws *engine.Workspace, r int) {
-				vec := looBacking[r*dims : (r+1)*dims]
-				copy(vec, bonus)
-				vec[looJobs[r]] = 0
-				ord, err := e.rankedPrefixWS(ctx, lws, vec, bcuts[len(bcuts)-1])
-				if err != nil {
-					terrs[r] = err
-					return
-				}
-				cent := metrics.PrefixCentroidInto(e.d, ord, bcuts, lws.Pop(), lws.Agg(len(bcuts)*dims))
-				for c := range bcuts {
-					looNorms[r*len(bcuts)+c] = normAgainst(cent[c*dims:(c+1)*dims], e.centroid)
-				}
-			})
-			if err := firstErr(perr, terrs); err != nil {
-				return nil, err
-			}
-			for _, qi := range bundles {
-				st := answers[qi].Bundle
-				if st == nil {
-					continue
-				}
-				c, _ := slices.BinarySearch(bcuts, geom[qi].cnt)
-				for r, j := range looJobs {
-					st.LeaveOneOut[j] = looNorms[r*len(bcuts)+c]
-				}
-			}
-		}
-	}
-	for _, qi := range bundles {
-		st := answers[qi].Bundle
-		if st == nil {
-			continue
-		}
-		st.Reduction = st.NormBefore - st.NormAfter
-		for j := 0; j < dims; j++ {
-			if bonus == nil || bonus[j] == 0 {
-				st.LeaveOneOut[j] = st.NormAfter
-			}
-			st.Contribution[j] = st.LeaveOneOut[j] - st.NormAfter
-		}
-	}
-	return answers, nil
 }
 
-// batchGrid collects the queries of one kind and deduplicates their cuts
-// into an ascending grid, exactly as groupPoints does for a sweep group:
-// idx lists the query indices, cuts the grid, and pos[r] locates idx[r]'s
-// cut within it. The geometry cut doubles as the fold cut for every
-// metric kind (for BatchNDCG it is the PrefixCount cut; for the selection
-// metrics the SelectCount).
-func batchGrid(qs []BatchQuery, geom []batchGeom, kind BatchKind) (idx, cuts, pos []int) {
-	for i := range qs {
-		if qs[i].Kind == kind {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) == 0 {
-		return nil, nil, nil
-	}
-	gridOf := func(qi int) int {
-		if kind == BatchNDCG {
-			return geom[qi].cut
-		}
-		return geom[qi].cnt
-	}
-	cuts = make([]int, len(idx))
-	for r, qi := range idx {
-		cuts[r] = gridOf(qi)
-	}
-	sort.Ints(cuts)
-	cuts = slices.Compact(cuts)
-	pos = make([]int, len(idx))
-	for r, qi := range idx {
-		p, _ := slices.BinarySearch(cuts, gridOf(qi))
-		pos[r] = p
-	}
-	return idx, cuts, pos
+// foldOne answers one metric query at cut over ord outside a plan's cut
+// grid: a bundle's compensated and uncompensated sides.
+func (e *Evaluator) foldOne(ws *engine.Workspace, ord []int, kind BatchKind, cut int) BatchAnswer {
+	a := []BatchAnswer{{Vector: make([]float64, e.vectorWidth(kind))}}
+	zero := []int{0}
+	e.fold(ws, ord, kind, []int{cut}, zero, zero, a)
+	return a[0]
 }
 
-// bundleFromShared fills one bundle's shared-order quantities from the
-// batch pass, mirroring bundleFullPass field-for-field (plus the
-// base-order side that BundleStatsCtx computes as its second parallel
-// task): cutoff, group counts, disparity norms, nDCG, FPR differences,
-// beneficiary sets, and the counterfactual margin window. order must
-// cover the bundle's own prefix (cnt + margins, clamped) and the nDCG
-// cut; eff must be the effective scores the order was ranked by. Only
-// the zero-ideal-DCG failure is possible, and it is the query's own.
-func (e *Evaluator) bundleFromShared(ws *engine.Workspace, order []int, eff []float64, cfg *BundleStatsConfig, st *BundleStats, cnt, ndcgCut int) error {
-	n := e.d.N()
+// selectionWS reads the published-selection quantities that Explanation
+// and BundleStats share off a plan's order: the cutoffs of the policy's
+// and of the uncompensated top cnt, the per-group counts of both (into
+// groups and baseGroups), and the objects the bonus admitted and
+// displaced, ascending.
+func (e *Evaluator) selectionWS(ws *engine.Workspace, order []int, eff []float64, cnt int, groups, baseGroups []int) (cutoff, baseCutoff float64, admitted, displaced []int) {
 	dims := e.d.NumFair()
-	p := cnt + cfg.Margins
-	if p > n {
-		p = n
-	}
-	st.Cutoff = eff[order[cnt-1]]
-
 	cuts := []int{cnt}
-	copy(st.GroupCounts, metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(dims)))
+	copy(groups, metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(dims)))
+	copy(baseGroups, metrics.PrefixGroupCountsInto(e.d, e.origOrd, cuts, ws.Cnts(dims)))
 
-	cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(dims))
-	st.NormAfter = normAgainst(cent, e.centroid)
-
-	// The centroid row has been consumed, so the aggregate scratch can be
-	// re-carved — same sequencing as bundleFullPass.
-	ndcgCuts := []int{ndcgCut}
-	agg := ws.Agg(2)
-	corrected := metrics.PrefixDCGInto(e.base, order, ndcgCuts, agg[:1])
-	ideal := metrics.PrefixDCGInto(e.base, e.origOrd, ndcgCuts, agg[1:])
-	if ideal[0] == 0 {
-		return metrics.ErrZeroIdealDCG
-	}
-	st.NDCG = corrected[0] / ideal[0]
-
-	if cfg.IncludeFPR {
-		cnts := ws.Cnts(dims + 1)
-		rows, all := cnts[:dims], cnts[dims:]
-		metrics.PrefixFPCountsInto(e.d, order, cuts, rows, all)
-		st.FPRDiff = make([]float64, dims)
-		if e.negAll != 0 {
-			overall := float64(all[0]) / float64(e.negAll)
-			for j := range st.FPRDiff {
-				if e.negTot[j] == 0 {
-					continue
-				}
-				st.FPRDiff[j] = float64(rows[j])/float64(e.negTot[j]) - overall
-			}
-		}
-	}
-
-	if cfg.IncludeExposure {
-		var err error
-		if st.Exposure, st.ExposureDDP, err = e.exposureSideWS(ws, order, cuts); err != nil {
-			return err
-		}
-	}
-
-	marks := ws.Marks(n)
-	for _, o := range e.origOrd[:cnt] {
+	// Beneficiary sets: symmetric difference of the two selections via
+	// the membership-mark buffer (reset to all-false on every path).
+	base := e.origOrd[:cnt]
+	marks := ws.Marks(e.d.N())
+	for _, o := range base {
 		marks[o] = true
 	}
 	for _, o := range order[:cnt] {
 		if marks[o] {
 			marks[o] = false
 		} else {
-			st.AdmittedByBonus = append(st.AdmittedByBonus, o)
+			admitted = append(admitted, o)
 		}
 	}
-	for _, o := range e.origOrd[:cnt] {
+	for _, o := range base {
 		if marks[o] {
-			st.DisplacedByBonus = append(st.DisplacedByBonus, o)
+			displaced = append(displaced, o)
 			marks[o] = false
 		}
 	}
-	sort.Ints(st.AdmittedByBonus)
-	sort.Ints(st.DisplacedByBonus)
+	sort.Ints(admitted)
+	sort.Ints(displaced)
+	return eff[order[cnt-1]], e.base[base[cnt-1]], admitted, displaced
+}
 
-	if cfg.Margins > 0 {
-		lo := cnt - cfg.Margins
-		if lo < 0 {
-			lo = 0
+// finishBundles completes every bundle answer once the primary pass and
+// the leave-one-out fan are in: looNorms holds one norm per (withdrawn
+// attribute looJobs[r], bundle count bcuts[c]). An attribute whose bonus
+// is already zero leaves the vector unchanged, so its leave-one-out norm
+// IS the full policy's norm — no ranking.
+func (p *plan) finishBundles(looJobs, bcuts []int, looNorms []float64) {
+	for i := range p.qs {
+		st := p.ans[i].Bundle
+		if st == nil {
+			continue
 		}
-		st.Margins = e.counterfactualsWS(ws, order, cfg.Bonus, cnt, order[lo:p])
-	}
-
-	// Base-order side: free off the cached uncompensated ranking.
-	st.BaseCutoff = e.base[e.origOrd[cnt-1]]
-	copy(st.BaseGroupCounts, metrics.PrefixGroupCountsInto(e.d, e.origOrd, cuts, ws.Cnts(dims)))
-	bcent := metrics.PrefixCentroidInto(e.d, e.origOrd, cuts, ws.Pop(), ws.Agg(dims))
-	st.NormBefore = normAgainst(bcent, e.centroid)
-	if cfg.IncludeExposure {
-		var err error
-		if st.BaseExposure, st.BaseExposureDDP, err = e.exposureSideWS(ws, e.origOrd, cuts); err != nil {
-			return err
+		c, _ := slices.BinarySearch(bcuts, p.geom[i].cnt)
+		for r, j := range looJobs {
+			st.LeaveOneOut[j] = looNorms[r*len(bcuts)+c]
+		}
+		st.Reduction = st.NormBefore - st.NormAfter
+		for j := range st.LeaveOneOut {
+			if p.bonus == nil || p.bonus[j] == 0 {
+				st.LeaveOneOut[j] = st.NormAfter
+			}
+			st.Contribution[j] = st.LeaveOneOut[j] - st.NormAfter
 		}
 	}
-	return nil
 }

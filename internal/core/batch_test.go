@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -110,8 +111,19 @@ func TestAnswerBatchBitIdenticalToPointwise(t *testing.T) {
 				t.Fatalf("trial %d: %d answers for %d queries", trial, len(answers), len(qs))
 			}
 
+			ref := newReference(ev)
 			for i, q := range qs {
 				a := answers[i]
+				switch q.Kind {
+				case BatchCounterfactual:
+					ref.checkCounterfactuals(t, "batch", bonus, q.K, q.Objects, a.Counterfactuals)
+				case BatchBundle:
+					if a.Bundle != nil {
+						ref.checkBundle(t, a.Bundle, *q.Bundle)
+					}
+				default:
+					ref.checkMetric(t, "batch query "+strconv.Itoa(i), q.Kind, bonus, q.K, a)
+				}
 				switch q.Kind {
 				case BatchDisparity:
 					want, err := ev.Disparity(bonus, q.K)

@@ -1,39 +1,32 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math"
-	"sort"
 
 	"fairrank/internal/engine"
 	"fairrank/internal/metrics"
-	"fairrank/internal/rank"
 )
 
 // BundleData pass. Because bonus points enter the effective score
 // additively (Definition 2), every fixed-(bonus, k) audit quantity — the
 // published cutoff, per-group selection counts, disparity norms, nDCG,
-// FPR differences, the beneficiary and displaced sets, and the
-// counterfactual margin window — is a deterministic function of one
-// ranked order per score vector. BundleStats therefore ranks the
-// compensated order once, reuses the cached uncompensated order for the
-// base side, folds the leave-one-attribute-out attribution's extra
-// vectors into the same fan-out, and answers everything else from prefix
-// aggregates of those shared orders (metrics.PrefixCentroid /
-// PrefixGroupCounts / PrefixFPCounts / PrefixDCG): a cold audit bundle
-// costs at most dims+1 ranking passes instead of the ~dims+5 the
-// one-metric-at-a-time evaluators pay, and — since only the leading
-// cnt+margins positions of each order are ever read — each pass is a
-// bounded-heap prefix selection (O(n log p)), not a full sort.
+// FPR differences, exposure rows, the beneficiary and displaced sets, and
+// the counterfactual margin window — is a deterministic function of one
+// ranked order per score vector. A bundle is therefore one BatchBundle
+// query of the evaluation plan (batch.go): the plan ranks the compensated
+// prefix once, reads the base side off the cached uncompensated order,
+// and fans one leave-one-attribute-out prefix per non-zero bonus
+// dimension out beside that primary pass — a cold audit bundle costs at
+// most dims+1 ranking passes, each a prefix of only the leading
+// cnt+margins positions (O(n log p) at worst, a combo-run merge where
+// eligible), not a full sort.
 //
-// Results are bit-identical to the independent pointwise evaluators
-// (Explain, AttributeDisparity, NDCG, FPRDiff, CounterfactualWindow):
-// the prefix aggregates resume the same left-to-right folds, the prefix
-// selection reproduces the full sort's leading segment exactly (the
-// comparator is a total order), and the scalar finishers share their
-// formulas with the pointwise implementations. See
-// TestBundleStatsDifferential and TestBundleStatsProperty.
+// The metric quantities are the plan's own folds at one cut, so a bundle
+// is bit-identical to the pointwise evaluators by construction, and
+// TestBundleStatsDifferential / TestBundleStatsProperty pin both against
+// the reference evaluator.
 
 // BundleStatsConfig parameterizes one BundleStats pass.
 type BundleStatsConfig struct {
@@ -133,223 +126,61 @@ func (e *Evaluator) BundleStats(cfg BundleStatsConfig) (*BundleStats, error) {
 // BundleStatsCtx is BundleStats with cooperative cancellation: once ctx
 // is done, no further ranking task is dispatched, in-flight tasks stop at
 // their next checkpoint, and the context's error is returned — no partial
-// bundle escapes.
+// bundle escapes. It is one BatchBundle query.
 func (e *Evaluator) BundleStatsCtx(ctx context.Context, cfg BundleStatsConfig) (*BundleStats, error) {
 	if err := e.checkBonusDims(cfg.Bonus); err != nil {
 		return nil, err
 	}
-	n := e.d.N()
-	if n == 0 {
+	if e.d.N() == 0 {
 		return nil, fmt.Errorf("core: cannot audit an empty dataset")
 	}
-	if cfg.Margins < 0 {
-		return nil, fmt.Errorf("core: margin window %d is negative", cfg.Margins)
-	}
-	if cfg.IncludeFPR && !e.d.HasOutcomes() {
-		return nil, fmt.Errorf("core: FPR evaluation requires outcomes")
-	}
-	if cfg.IncludeExposure {
-		if err := e.exposureGuard(); err != nil {
-			return nil, err
-		}
-	}
-	cnt, err := rank.SelectCount(n, cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	// The nDCG cut resolves through the metric package's own fraction
-	// arithmetic, exactly as the pointwise NDCG does. (Both round
-	// half-up and clamp to [1, n], so the cuts coincide; going through
-	// metrics.PrefixCount keeps that an implementation detail of the
-	// metric, not an assumption of this pass.)
-	ndcgCut, err := metrics.PrefixCount(n, cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
+	a, err := e.answerOne(ctx, cfg.Bonus, BatchQuery{Kind: BatchBundle, Bundle: &cfg})
+	return a.Bundle, err
+}
 
+// bundleWS answers one bundle query from a plan's order; finishBundles
+// adds the leave-one-out attribution once the fan is in. The metric
+// quantities are one-cut metric folds over the compensated order and the
+// cached uncompensated one. Only the data-dependent failures (zero ideal
+// DCG, degenerate exposure groups) are possible, and they are the query's
+// own.
+func (e *Evaluator) bundleWS(ws *engine.Workspace, order []int, eff []float64, cfg *BundleStatsConfig, g *batchGeom) (*BundleStats, error) {
+	dims, cnt := e.d.NumFair(), g.cnt
 	// The Bonus copy is always dims long (a nil config bonus means the
 	// zero vector), so every per-dimension slice in the result is
 	// aligned — consumers like report.FromStats index them in lockstep.
-	bonus := make([]float64, dims)
-	copy(bonus, cfg.Bonus)
 	st := &BundleStats{
 		K:               cfg.K,
 		Selected:        cnt,
 		FairNames:       e.d.FairNames(),
-		Bonus:           bonus,
+		Bonus:           make([]float64, dims),
 		GroupCounts:     make([]int, dims),
 		BaseGroupCounts: make([]int, dims),
 		LeaveOneOut:     make([]float64, dims),
 		Contribution:    make([]float64, dims),
 	}
-
-	// Leave-one-out jobs: one ranking per attribute whose bonus is
-	// non-zero. An attribute already at zero leaves the vector unchanged,
-	// so its leave-one-out norm IS the full policy's norm — no ranking.
-	var looJobs []int
-	for j, b := range cfg.Bonus {
-		if b != 0 {
-			looJobs = append(looJobs, j)
-		}
+	copy(st.Bonus, cfg.Bonus)
+	st.Cutoff, st.BaseCutoff, st.AdmittedByBonus, st.DisplacedByBonus = e.selectionWS(ws, order, eff, cnt, st.GroupCounts, st.BaseGroupCounts)
+	st.NormAfter = metrics.Norm(e.foldOne(ws, order, BatchDisparity, cnt).Vector)
+	st.NormBefore = metrics.Norm(e.foldOne(ws, e.origOrd, BatchDisparity, cnt).Vector)
+	ndcg := e.foldOne(ws, order, BatchNDCG, g.ndcgCut)
+	if ndcg.Err != nil {
+		return nil, ndcg.Err
 	}
-	looBacking := make([]float64, len(looJobs)*dims)
-	looVecs := make([][]float64, len(looJobs))
-	for r, j := range looJobs {
-		vec := looBacking[r*dims : (r+1)*dims]
-		copy(vec, cfg.Bonus)
-		vec[j] = 0
-		looVecs[r] = vec
+	st.NDCG = ndcg.Value
+	if cfg.IncludeFPR {
+		st.FPRDiff = e.foldOne(ws, order, BatchFPRDiff, cnt).Vector
 	}
-
-	// cuts is shared read-only by every prefix aggregation below.
-	cuts := []int{cnt}
-	ndcgCuts := []int{ndcgCut}
-	terrs := make([]error, 2+len(looJobs))
-
-	// Task 0 answers everything addressed by the compensated order; task
-	// 1 the base-order side; tasks 2.. one leave-one-out norm each. On a
-	// multicore box the distinct rankings overlap; on one core the fan-out
-	// degenerates to a loop over one pooled workspace.
-	perr := e.parallelCtx(ctx, 2+len(looJobs), func(ws *engine.Workspace, i int) {
-		switch i {
-		case 0:
-			terrs[0] = e.bundleFullPass(ctx, ws, cfg, st, cnt, cuts, ndcgCuts)
-		case 1:
-			st.BaseCutoff = e.base[e.origOrd[cnt-1]]
-			copy(st.BaseGroupCounts, metrics.PrefixGroupCountsInto(e.d, e.origOrd, cuts, ws.Cnts(dims)))
-			cent := metrics.PrefixCentroidInto(e.d, e.origOrd, cuts, ws.Pop(), ws.Agg(dims))
-			st.NormBefore = normAgainst(cent, e.centroid)
-			if cfg.IncludeExposure {
-				st.BaseExposure, st.BaseExposureDDP, terrs[1] = e.exposureSideWS(ws, e.origOrd, cuts)
-			}
-		default:
-			r := i - 2
-			order, err := e.rankedPrefixWS(ctx, ws, looVecs[r], cnt)
-			if err != nil {
-				terrs[i] = err
-				return
-			}
-			cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(dims))
-			st.LeaveOneOut[looJobs[r]] = normAgainst(cent, e.centroid)
+	if cfg.IncludeExposure {
+		x, bx := e.foldOne(ws, order, BatchExposure, cnt), e.foldOne(ws, e.origOrd, BatchExposure, cnt)
+		if err := cmp.Or(x.Err, bx.Err); err != nil {
+			return nil, err
 		}
-	})
-	if err := firstErr(perr, terrs); err != nil {
-		return nil, err
+		st.Exposure, st.ExposureDDP, st.BaseExposure, st.BaseExposureDDP = x.Vector, x.Value, bx.Vector, bx.Value
 	}
-
-	st.Reduction = st.NormBefore - st.NormAfter
-	for j := 0; j < dims; j++ {
-		if len(cfg.Bonus) == 0 || cfg.Bonus[j] == 0 {
-			st.LeaveOneOut[j] = st.NormAfter
-		}
-		st.Contribution[j] = st.LeaveOneOut[j] - st.NormAfter
+	if cfg.Margins > 0 {
+		lo, hi := max(cnt-cfg.Margins, 0), min(cnt+cfg.Margins, e.d.N())
+		st.Margins = e.counterfactualsWS(ws, order, eff, cnt, order[lo:hi])
 	}
 	return st, nil
-}
-
-// bundleFullPass computes every quantity addressed by the compensated
-// order from one ranked prefix: cutoff, group counts, disparity norm,
-// nDCG, FPR differences, the beneficiary/displaced sets, and the
-// counterfactual margin window. Only it can fail (zero ideal DCG).
-func (e *Evaluator) bundleFullPass(ctx context.Context, ws *engine.Workspace, cfg BundleStatsConfig, st *BundleStats, cnt int, cuts, ndcgCuts []int) error {
-	n := e.d.N()
-	dims := e.d.NumFair()
-	p := cnt + cfg.Margins
-	if p > n {
-		p = n
-	}
-	order, err := e.rankedPrefixWS(ctx, ws, cfg.Bonus, p)
-	if err != nil {
-		return err
-	}
-	eff := e.base
-	if !isZero(cfg.Bonus) {
-		eff = ws.Eff(n) // filled by rankedPrefixWS
-	}
-	st.Cutoff = eff[order[cnt-1]]
-
-	copy(st.GroupCounts, metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(dims)))
-
-	cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(dims))
-	st.NormAfter = normAgainst(cent, e.centroid)
-
-	// nDCG from prefix DCG sums over the compensated and original orders;
-	// the centroid row above has been consumed, so the aggregate scratch
-	// can be re-carved.
-	agg := ws.Agg(2)
-	corrected := metrics.PrefixDCGInto(e.base, order, ndcgCuts, agg[:1])
-	ideal := metrics.PrefixDCGInto(e.base, e.origOrd, ndcgCuts, agg[1:])
-	if ideal[0] == 0 {
-		return metrics.ErrZeroIdealDCG
-	}
-	st.NDCG = corrected[0] / ideal[0]
-
-	if cfg.IncludeFPR {
-		cnts := ws.Cnts(dims + 1)
-		rows, all := cnts[:dims], cnts[dims:]
-		metrics.PrefixFPCountsInto(e.d, order, cuts, rows, all)
-		st.FPRDiff = make([]float64, dims)
-		if e.negAll != 0 {
-			overall := float64(all[0]) / float64(e.negAll)
-			for j := range st.FPRDiff {
-				if e.negTot[j] == 0 {
-					continue
-				}
-				st.FPRDiff[j] = float64(rows[j])/float64(e.negTot[j]) - overall
-			}
-		}
-	}
-
-	if cfg.IncludeExposure {
-		var err error
-		if st.Exposure, st.ExposureDDP, err = e.exposureSideWS(ws, order, cuts); err != nil {
-			return err
-		}
-	}
-
-	// Beneficiary sets: symmetric difference of the two selections via
-	// the membership-mark buffer (reset to all-false on every path).
-	marks := ws.Marks(n)
-	for _, o := range e.origOrd[:cnt] {
-		marks[o] = true
-	}
-	for _, o := range order[:cnt] {
-		if marks[o] {
-			marks[o] = false
-		} else {
-			st.AdmittedByBonus = append(st.AdmittedByBonus, o)
-		}
-	}
-	for _, o := range e.origOrd[:cnt] {
-		if marks[o] {
-			st.DisplacedByBonus = append(st.DisplacedByBonus, o)
-			marks[o] = false
-		}
-	}
-	sort.Ints(st.AdmittedByBonus)
-	sort.Ints(st.DisplacedByBonus)
-
-	if cfg.Margins > 0 {
-		lo := cnt - cfg.Margins
-		if lo < 0 {
-			lo = 0
-		}
-		st.Margins = e.counterfactualsWS(ws, order, cfg.Bonus, cnt, order[lo:p])
-	}
-	return nil
-}
-
-// normAgainst returns the L2 norm of (cent - ref), the disparity norm of
-// a selection centroid against the population centroid. The fold —
-// ascending dimension, square-accumulate, one final sqrt — is exactly
-// metrics.Norm over the subtracted vector, so the value is bit-identical
-// to the pointwise Disparity+Norm path.
-func normAgainst(cent, ref []float64) float64 {
-	var s float64
-	for j := range cent {
-		x := cent[j] - ref[j]
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

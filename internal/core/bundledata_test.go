@@ -65,11 +65,14 @@ func checkBundleStatsAgainstPointwise(t *testing.T, ev *Evaluator, cfg BundleSta
 	if err != nil {
 		t.Fatalf("BundleStats(%+v): %v", cfg, err)
 	}
+	ref := newReference(ev)
+	ref.checkBundle(t, st, cfg)
 
 	exp, err := ev.Explain(cfg.Bonus, cfg.K)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref.checkSelection(t, "Explain", cfg.Bonus, cfg.K, exp.Cutoff, exp.BaseCutoff, exp.GroupCounts, exp.BaseGroupCounts, exp.AdmittedByBonus, exp.DisplacedByBonus)
 	if st.Selected != exp.Selected || st.Cutoff != exp.Cutoff || st.BaseCutoff != exp.BaseCutoff {
 		t.Errorf("cutoffs: stats (%d %v %v) vs Explain (%d %v %v)",
 			st.Selected, st.Cutoff, st.BaseCutoff, exp.Selected, exp.Cutoff, exp.BaseCutoff)
@@ -329,7 +332,7 @@ func TestRankedPrefixMatchesFullSort(t *testing.T) {
 	ws := ev.ws()
 	defer ev.put(ws)
 	for p := 1; p <= d.N(); p++ {
-		got, err := ev.rankedPrefixWS(context.Background(), ws, bonus, p)
+		got, _, err := ev.rankedPrefixWS(context.Background(), ws, bonus, p, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,7 +71,8 @@ type Attribution struct {
 	// FairNames are the fairness attribute names, aligned with Bonus,
 	// LeaveOneOut and Contribution.
 	FairNames []string
-	// Bonus is the attributed bonus vector (copied).
+	// Bonus is the attributed bonus vector (copied; a nil bonus is the
+	// zero vector).
 	Bonus []float64
 	// NormBase is the disparity norm of the uncompensated selection and
 	// NormFull the norm under the full bonus vector; Reduction is their
@@ -116,7 +117,8 @@ func (e *Evaluator) Counterfactual(bonus []float64, k float64, obj int) (Counter
 // in O(64) comparisons against its boundary competitor — the binary search
 // runs over float64 bit patterns, so the returned delta is the smallest
 // representable change that flips the selection. The only allocations are
-// the result slice and one backing array for the per-attribute rows.
+// the one-query plan, the result slice and one backing array for the
+// per-attribute rows.
 func (e *Evaluator) CounterfactualBatch(bonus []float64, k float64, objs []int) ([]Counterfactual, error) {
 	return e.CounterfactualBatchCtx(context.Background(), bonus, k, objs)
 }
@@ -124,6 +126,10 @@ func (e *Evaluator) CounterfactualBatch(bonus []float64, k float64, objs []int) 
 // CounterfactualBatchCtx is CounterfactualBatch with cooperative
 // cancellation: the single ranking pass behind the batch aborts at its
 // next checkpoint once ctx is done and the context's error is returned.
+// It is one BatchCounterfactual query. On the combo-run merge route the
+// batch needs no population-wide pass at all: the boundary competitors
+// come off a merged prefix of cnt+1 positions and each object's rank from
+// per-run binary searches; otherwise the plan ranks the full order.
 func (e *Evaluator) CounterfactualBatchCtx(ctx context.Context, bonus []float64, k float64, objs []int) ([]Counterfactual, error) {
 	if err := e.checkBonusDims(bonus); err != nil {
 		return nil, err
@@ -134,61 +140,8 @@ func (e *Evaluator) CounterfactualBatchCtx(ctx context.Context, bonus []float64,
 			return nil, fmt.Errorf("core: object %d outside [0,%d)", obj, n)
 		}
 	}
-	cnt, err := rank.SelectCount(n, k)
-	if err != nil {
-		return nil, err
-	}
-
-	ws := e.ws()
-	defer e.put(ws)
-	out, ok, err := e.counterfactualBatchMerge(ctx, ws, bonus, cnt, objs)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return out, nil
-	}
-	order, err := e.orderWS(ctx, ws, bonus)
-	if err != nil {
-		return nil, err
-	}
-	return e.counterfactualsWS(ws, order, bonus, cnt, objs), nil
-}
-
-// counterfactualBatchMerge answers a counterfactual batch with no
-// population-wide pass at all: the boundary competitors come off a
-// merged prefix of cnt+1 positions (O(cnt·log g)), and each object's
-// rank and effective score from per-run binary searches
-// (ComboRuns.RankOf, O(g·log(n/g)) per object) — the exact rank every
-// run contributes is the count of members outranking the object under
-// the same total order the full sort realizes. ok is false when the
-// merge cannot serve the batch — no run structure, a heterogeneous
-// cohort or oversized prefix (mergeEligible), a zero bonus (the cached
-// base order already answers that for free), or non-finite offsets —
-// and the caller falls back to the full-ranking path. A non-nil error
-// (cancellation mid-merge) means the batch must be abandoned, not
-// retried on the fallback path.
-func (e *Evaluator) counterfactualBatchMerge(ctx context.Context, ws *engine.Workspace, bonus []float64, cnt int, objs []int) ([]Counterfactual, bool, error) {
-	n := e.d.N()
-	p := cnt
-	if cnt < n {
-		p = cnt + 1 // the first excluded object is a boundary competitor too
-	}
-	if isZero(bonus) || !e.mergeEligible(p) {
-		return nil, false, nil
-	}
-	ms := ws.Merge()
-	eff := ws.Eff(n)
-	order, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, p, ms, ws.Ord(p), eff)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	e.merges.Add(1)
-	out, ok := e.counterfactualsMergeWS(ws, order, bonus, cnt, objs)
-	return out, ok, nil
+	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchCounterfactual, K: k, Objects: objs})
+	return a.Counterfactuals, err
 }
 
 // counterfactualsMergeWS answers every listed object against a merged
@@ -199,10 +152,8 @@ func (e *Evaluator) counterfactualBatchMerge(ctx context.Context, ws *engine.Wor
 // object) against the offsets the merge left in the workspace scratch —
 // the exact rank every run contributes is the count of members
 // outranking the object under the same total order the full sort
-// realizes. Both the per-request merge batch and the cross-request
-// shared pass (AnswerBatchCtx) finish through it, so their results are
-// bit-identical by construction. ok is false only for non-finite
-// offsets, unreachable after a merge validated them.
+// realizes. ok is false only for non-finite offsets, unreachable after a
+// merge validated them.
 func (e *Evaluator) counterfactualsMergeWS(ws *engine.Workspace, order []int, bonus []float64, cnt int, objs []int) ([]Counterfactual, bool) {
 	n := e.d.N()
 	ms := ws.Merge()
@@ -269,29 +220,27 @@ func (e *Evaluator) CounterfactualWindow(bonus []float64, k float64, m int) ([]C
 	// Only the leading hi positions are ever read (window ids, ranks, and
 	// boundary competitors all live there), so a ranked prefix suffices —
 	// it is bit-identical to the full order's leading segment.
-	order, err := e.rankedPrefixWS(context.Background(), ws, bonus, hi)
+	order, _, err := e.rankedPrefixWS(context.Background(), ws, bonus, hi, false)
 	if err != nil {
 		return nil, err
 	}
-	return e.counterfactualsWS(ws, order, bonus, cnt, order[lo:hi]), nil
-}
-
-// counterfactualsWS answers every listed object against the ranked order,
-// which must have been produced by orderWS or rankedPrefixWS on the same
-// workspace; a prefix order is sufficient as long as it covers every
-// listed object and the boundary competitors (positions cnt-1 and, when
-// cnt < n, cnt). objs may alias order (CounterfactualWindow passes a
-// slice of it); the inverse permutation is built before any result is
-// written, and nothing below mutates either buffer.
-func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, bonus []float64, cnt int, objs []int) []Counterfactual {
-	n := e.d.N()
-	// orderWS/rankedPrefixWS fill the workspace effective-score buffer
-	// only for a non-zero bonus; the zero vector ranks by the cached base
-	// scores.
 	eff := e.base
 	if !isZero(bonus) {
-		eff = ws.Eff(n)
+		eff = ws.Eff(e.d.N())
 	}
+	return e.counterfactualsWS(ws, order, eff, cnt, order[lo:hi]), nil
+}
+
+// counterfactualsWS answers every listed object against the ranked order
+// and the effective scores it was ranked by, both produced by
+// rankedPrefixWS on the same workspace; a prefix order is sufficient as
+// long as it covers every listed object and the boundary competitors
+// (positions cnt-1 and, when cnt < n, cnt). objs may alias order (the
+// bundle margin window passes a slice of it); the inverse permutation is
+// built before any result is written, and nothing below mutates either
+// buffer.
+func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff []float64, cnt int, objs []int) []Counterfactual {
+	n := e.d.N()
 	// Invert the permutation so Rank lookups are O(1); the abs buffer is
 	// unused by the ranking path.
 	inv := ws.Abs(n)
@@ -432,12 +381,13 @@ func (e *Evaluator) AttributeDisparity(bonus []float64, k float64) (*Attribution
 	att := &Attribution{
 		K:            k,
 		FairNames:    e.d.FairNames(),
-		Bonus:        append([]float64(nil), bonus...),
+		Bonus:        make([]float64, dims),
 		NormBase:     metrics.Norm(vecs[0]),
 		NormFull:     metrics.Norm(vecs[1]),
 		LeaveOneOut:  make([]float64, dims),
 		Contribution: make([]float64, dims),
 	}
+	copy(att.Bonus, bonus)
 	att.Reduction = att.NormBase - att.NormFull
 	for j := 0; j < dims; j++ {
 		att.LeaveOneOut[j] = metrics.Norm(vecs[2+j])

@@ -34,13 +34,22 @@
 // Measuring a bonus vector's full-population effect goes through the
 // Evaluator, which precomputes the base scores and the uncompensated
 // ranking once and is safe for concurrent use (pooled engine workspaces).
-// Its sweep methods (DisparitySweep, NDCGSweep, DisparateImpactSweep,
-// FPRDiffSweep) implement the prefix-sweep engine of sweep.go: points
-// sharing a bonus vector are ranked once and every selection fraction is
-// answered from prefix aggregates, bit-identically to the pointwise
-// methods.
+// Every evaluator entry point is a query on one evaluation plan
+// (batch.go): a plan validates its queries once, ranks once through
+// rankedPrefixWS (combo-run merge, bounded-heap prefix or full order),
+// and answers each query from that order — metric kinds through one
+// prefix fold and finisher each, counterfactuals, explanations and
+// audit bundles through their own readers of the same order.
 //
-// The explainability workloads build on the same rankings:
+//   - Pointwise metrics (Disparity, NDCG, DisparateImpact, FPRDiff,
+//     Exposure, ExposureRatio, TopKShare) are one-query plans.
+//   - SweepCtx and the seven *Sweep adapters group points by bonus vector
+//     and run one plan per group on the worker pool, answering every
+//     selection fraction from prefix aggregates.
+//   - AnswerBatch runs a caller's heterogeneous queries as one plan; the
+//     service micro-batcher is built on it.
+//
+// The explainability workloads are queries of the same plan:
 //
 //   - Explain publishes the transparency report of Section III-C (cutoff,
 //     per-group counts, beneficiaries); ExplainObject breaks one object's
@@ -50,7 +59,12 @@
 //     the flip is decided against a single boundary competitor in the
 //     ranked order, and a binary search over float64 bit patterns returns
 //     the smallest representable delta that flips (counterfactual.go).
+//   - BundleStats computes every audit-bundle quantity, adding one
+//     leave-one-out prefix per attribute with a non-zero bonus.
 //   - AttributeDisparity decomposes the policy's disparity reduction by
 //     leaving each attribute's bonus out in turn — the group-level
 //     attribution behind the audit bundles of internal/report.
+//
+// Every entry point that takes a bonus vector treats nil as the zero
+// vector and rejects any other length than NumFair before ranking.
 package core

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -152,93 +152,75 @@ func (e *Evaluator) mergeEligible(p int) bool {
 	return g*4 <= n && 4*p <= 3*n
 }
 
-// orderWS returns the full ranking under bonus using workspace buffers;
-// the result aliases ws (or the cached original order) and must not be
-// retained past the workspace. ctx is polled once before the scoring
-// pass: one full ranking is the cancellation granularity of this path.
-func (e *Evaluator) orderWS(ctx context.Context, ws *engine.Workspace, bonus []float64) ([]int, error) {
-	if isZero(bonus) {
-		return e.origOrd, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// EffectiveScores over the cached identity indices takes the unrolled
-	// low-dimension dot-product fast path.
-	eff := rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, ws.Eff(e.d.N()))
-	e.rankings.Add(1)
-	return rank.OrderInto(eff, ws.Ord(e.d.N())), nil
-}
-
-// rankedPrefixWS returns the first p positions of the full ranking under
-// bonus (descending effective score, ties by ascending index) using
-// workspace buffers; like orderWS, the result aliases ws (or the cached
-// original order) and must not be retained past the workspace. When p is
-// well below the population size, the prefix comes from a bounded-heap
-// selection followed by a sort of just those p indices — O(n log p)
-// instead of O(n log n) — and because the ranking comparator is a total
-// order, the result is bit-identical to orderWS(ctx, ws, bonus)[:p].
-// Cancellation surfaces either from the combo-run merge's amortized
-// checkpoint or from the single poll ahead of a full scoring pass; a
-// non-nil error means no prefix was produced. The faultinject rank.prefix
-// site fires on every non-zero-bonus call, so chaos tests can make each
-// ranking pass arbitrarily slow without touching real data.
-func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bonus []float64, p int) ([]int, error) {
+// rankedPrefixWS is the evaluator's one ranking route. It returns the
+// first p positions of the ranking under bonus (descending effective
+// score, ties by ascending index) — or, when full is set and the route is
+// not the merge, the whole order — using workspace buffers; the result
+// aliases ws (or the cached original order) and must not be retained past
+// the workspace. The route:
+//
+//   - a zero bonus reads the cached uncompensated order for free;
+//   - the combo-run merge when mergeEligible(p): O(p log g) pops over the
+//     pre-sorted runs, no population-wide pass at all. merged reports this
+//     route, whose MergeScratch stays live for per-object RankOf lookups;
+//     it declines (and falls through) only for non-finite offsets;
+//   - otherwise one scoring pass, then a full sort when full is set (a
+//     counterfactual asks about arbitrary objects) or p covers most of the
+//     population, and a bounded-heap selection of p sorted by the ranking
+//     comparator — O(n log p) — otherwise.
+//
+// The comparator is a total order, so every route's prefix is
+// bit-identical to the full sort's leading segment. Every non-zero route
+// fills ws.Eff for each id it emits. Cancellation surfaces either from the
+// merge's amortized checkpoint or from the single poll ahead of a scoring
+// pass; a non-nil error means no order was produced. The faultinject
+// rank.prefix site fires on every non-zero-bonus call, so chaos tests can
+// make each ranking pass arbitrarily slow without touching real data.
+func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bonus []float64, p int, full bool) (order []int, merged bool, err error) {
 	n := e.d.N()
 	if isZero(bonus) {
-		return e.origOrd[:p], nil
+		if full {
+			return e.origOrd, false, nil
+		}
+		return e.origOrd[:p], false, nil
 	}
 	if err := faultinject.Fire(ctx, faultinject.SiteRankPrefix); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if e.mergeEligible(p) {
-		// Combo-run merge: O(p log g) pops over the pre-sorted runs, no
-		// population-wide scoring or sorting at all. The merge fills the
-		// workspace effective-score buffer for every emitted id, exactly
-		// the entries downstream prefix consumers read. It declines (and
-		// falls through to the scan paths) only for non-finite offsets.
 		pre, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, p, ws.Merge(), ws.Ord(p), ws.Eff(n))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if ok {
 			e.merges.Add(1)
-			return pre, nil
+			return pre, true, nil
 		}
-	}
-	if p >= n/2 {
-		// Selecting most of the population saves nothing over sorting it.
-		ord, err := e.orderWS(ctx, ws, bonus)
-		if err != nil {
-			return nil, err
-		}
-		return ord[:p], nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	// EffectiveScores over the cached identity indices takes the unrolled
+	// low-dimension dot-product fast path.
 	eff := rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, ws.Eff(n))
 	e.rankings.Add(1)
+	if full || p >= n/2 {
+		// Selecting most of the population saves nothing over sorting it.
+		ord := rank.OrderInto(eff, ws.Ord(n))
+		if !full {
+			ord = ord[:p]
+		}
+		return ord, false, nil
+	}
 	pre := rank.TopKHeapInto(eff, p, ws.Ord(p))
 	rank.SortRanked(eff, pre)
-	return pre, nil
-}
-
-// selectWS returns the top-k prefix under bonus; same aliasing rules as
-// orderWS. It routes through rankedPrefixWS, so a selection needing only
-// the leading cnt positions takes the combo-run merge or bounded-heap
-// path instead of a full sort.
-func (e *Evaluator) selectWS(ctx context.Context, ws *engine.Workspace, bonus []float64, k float64) ([]int, error) {
-	cnt, err := rank.SelectCount(e.d.N(), k)
-	if err != nil {
-		return nil, err
-	}
-	return e.rankedPrefixWS(ctx, ws, bonus, cnt)
+	return pre, false, nil
 }
 
 // Order returns the full ranking under the given bonus vector (descending
 // effective score). A nil or all-zero bonus reproduces the original
-// ranking.
+// ranking; any other bonus must have one entry per fairness attribute
+// (Order has no error to report a mismatch with).
 func (e *Evaluator) Order(bonus []float64) []int {
 	if isZero(bonus) {
 		return e.origOrd
@@ -258,29 +240,20 @@ func (e *Evaluator) Select(bonus []float64, k float64) ([]int, error) {
 
 // SelectCtx is Select with cooperative cancellation.
 func (e *Evaluator) SelectCtx(ctx context.Context, bonus []float64, k float64) ([]int, error) {
-	ws := e.ws()
-	defer e.put(ws)
-	sel, err := e.selectWS(ctx, ws, bonus, k)
+	if err := e.checkBonusDims(bonus); err != nil {
+		return nil, err
+	}
+	cnt, err := rank.SelectCount(e.d.N(), k)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, len(sel))
-	copy(out, sel)
-	return out, nil
-}
-
-// disparityInto writes the full-population disparity vector of the top-k
-// selection under bonus into dst.
-func (e *Evaluator) disparityInto(ctx context.Context, ws *engine.Workspace, bonus []float64, k float64, dst []float64) error {
-	sel, err := e.selectWS(ctx, ws, bonus, k)
+	ws := e.ws()
+	defer e.put(ws)
+	sel, _, err := e.rankedPrefixWS(ctx, ws, bonus, cnt, false)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.d.FairCentroidInto(sel, dst)
-	for j := range dst {
-		dst[j] -= e.centroid[j]
-	}
-	return nil
+	return slices.Clone(sel), nil
 }
 
 // Disparity returns the full-population disparity vector of the top-k
@@ -291,39 +264,8 @@ func (e *Evaluator) Disparity(bonus []float64, k float64) ([]float64, error) {
 
 // DisparityCtx is Disparity with cooperative cancellation.
 func (e *Evaluator) DisparityCtx(ctx context.Context, bonus []float64, k float64) ([]float64, error) {
-	ws := e.ws()
-	defer e.put(ws)
-	out := make([]float64, e.d.NumFair())
-	if err := e.disparityInto(ctx, ws, bonus, k, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ndcgWS computes NDCG using workspace buffers. Only the leading cut
-// positions of the compensated order contribute to the DCG sum, so the
-// order comes from rankedPrefixWS and the value from the same prefix-DCG
-// fold the sweep engine runs — bit-identical to
-// metrics.NDCGAtFrac(base, fullOrder, origOrd, k), which resolves the
-// cut through the identical metrics.PrefixCount arithmetic.
-func (e *Evaluator) ndcgWS(ctx context.Context, ws *engine.Workspace, bonus []float64, k float64) (float64, error) {
-	cut, err := metrics.PrefixCount(e.d.N(), k)
-	if err != nil {
-		return 0, err
-	}
-	order, err := e.rankedPrefixWS(ctx, ws, bonus, cut)
-	if err != nil {
-		return 0, err
-	}
-	cuts := ws.Cnts(1)
-	cuts[0] = cut
-	agg := ws.Agg(2)
-	corrected := metrics.PrefixDCGInto(e.base, order, cuts, agg[:1])
-	ideal := metrics.PrefixDCGInto(e.base, e.origOrd, cuts, agg[1:])
-	if ideal[0] == 0 {
-		return 0, metrics.ErrZeroIdealDCG
-	}
-	return corrected[0] / ideal[0], nil
+	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchDisparity, K: k})
+	return a.Vector, err
 }
 
 // NDCG returns the utility of the compensated ranking at selection
@@ -334,17 +276,19 @@ func (e *Evaluator) NDCG(bonus []float64, k float64) (float64, error) {
 
 // NDCGCtx is NDCG with cooperative cancellation.
 func (e *Evaluator) NDCGCtx(ctx context.Context, bonus []float64, k float64) (float64, error) {
-	ws := e.ws()
-	defer e.put(ws)
-	return e.ndcgWS(ctx, ws, bonus, k)
+	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchNDCG, K: k})
+	return a.Value, err
 }
 
 // LogDiscounted returns the logarithmically discounted disparity of the
 // full ranking under the bonus vector.
 func (e *Evaluator) LogDiscounted(bonus []float64, ld metrics.LogDiscount) ([]float64, error) {
+	if err := e.checkBonusDims(bonus); err != nil {
+		return nil, err
+	}
 	ws := e.ws()
 	defer e.put(ws)
-	ord, err := e.orderWS(context.Background(), ws, bonus)
+	ord, _, err := e.rankedPrefixWS(context.Background(), ws, bonus, e.d.N(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -354,40 +298,20 @@ func (e *Evaluator) LogDiscounted(bonus []float64, ld metrics.LogDiscount) ([]fl
 // DisparateImpact returns the scaled disparate-impact vector of the top-k
 // selection under the bonus vector.
 func (e *Evaluator) DisparateImpact(bonus []float64, k float64) ([]float64, error) {
-	ws := e.ws()
-	defer e.put(ws)
-	sel, err := e.selectWS(context.Background(), ws, bonus, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, e.d.NumFair())
-	return metrics.DisparateImpactWithinInto(e.d, e.all, sel, ws.Marks(e.d.N()), out), nil
+	a, err := e.answerOne(context.Background(), bonus, BatchQuery{Kind: BatchDisparateImpact, K: k})
+	return a.Vector, err
 }
 
 // FPRDiff returns the per-group FPR difference vector of the top-k
 // selection under the bonus vector. The dataset must carry outcomes.
 func (e *Evaluator) FPRDiff(bonus []float64, k float64) ([]float64, error) {
-	if !e.d.HasOutcomes() {
-		return nil, fmt.Errorf("core: FPR evaluation requires outcomes")
-	}
-	ws := e.ws()
-	defer e.put(ws)
-	sel, err := e.selectWS(context.Background(), ws, bonus, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, e.d.NumFair())
-	return metrics.FPRDiffWithinInto(e.d, e.all, sel, ws.Marks(e.d.N()), out), nil
+	a, err := e.answerOne(context.Background(), bonus, BatchQuery{Kind: BatchFPRDiff, K: k})
+	return a.Vector, err
 }
 
-// parallel fans n point evaluations over the engine worker pool, each
-// goroutine holding one pooled workspace for its whole share of the work.
-func (e *Evaluator) parallel(n int, fn func(ws *engine.Workspace, i int)) {
-	engine.ForEachWS(n, e.ws, e.put, fn)
-}
-
-// parallelCtx is parallel with cooperative cancellation: once ctx is
-// done, no further index is dispatched and the context's error is
+// parallelCtx fans n tasks over the engine worker pool, each goroutine
+// holding one pooled workspace for its whole share of the work. Once ctx
+// is done, no further index is dispatched and the context's error is
 // returned after in-flight tasks finish.
 func (e *Evaluator) parallelCtx(ctx context.Context, n int, fn func(ws *engine.Workspace, i int)) error {
 	return engine.ForEachWSCtx(ctx, n, e.ws, e.put, fn)
@@ -413,6 +337,12 @@ const (
 // round. The probe count is fixed, so the result is deterministic
 // regardless of parallelism.
 func (e *Evaluator) FindScaleForNDCG(bonus []float64, k, target, granularity float64) (w float64, err error) {
+	if err := e.checkBonusDims(bonus); err != nil {
+		return 0, err
+	}
+	if bonus == nil {
+		bonus = make([]float64, e.d.NumFair()) // Scale keeps the length
+	}
 	full, err := e.NDCG(Scale(bonus, 1, granularity), k)
 	if err != nil {
 		return 0, err

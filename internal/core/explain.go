@@ -3,9 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"fairrank/internal/rank"
+	"fairrank/internal/engine"
 )
 
 // Explanation is the transparency report the paper argues bonus points make
@@ -24,7 +23,9 @@ type Explanation struct {
 	Cutoff float64
 	// BaseCutoff is the cutoff of the uncompensated ranking, for contrast.
 	BaseCutoff float64
-	// Bonus is the bonus vector the report explains (copied).
+	// Bonus is the bonus vector the report explains (copied; always one
+	// entry per fairness attribute, so a nil bonus reads as the zero
+	// vector and ExplainObject can index it).
 	Bonus []float64
 	// FairNames are the fairness attribute names, aligned with Bonus.
 	FairNames []string
@@ -58,71 +59,34 @@ type ObjectExplanation struct {
 }
 
 // Explain produces the transparency report for a bonus vector at selection
-// fraction k.
+// fraction k. A nil bonus explains the uncompensated ranking; the
+// report's Bonus is then the zero vector.
 func (e *Evaluator) Explain(bonus []float64, k float64) (*Explanation, error) {
 	return e.ExplainCtx(context.Background(), bonus, k)
 }
 
-// ExplainCtx is Explain with cooperative cancellation: each of the two
-// selections behind the report polls ctx before its ranking pass.
+// ExplainCtx is Explain with cooperative cancellation. It is one
+// BatchExplain query: a single ranked prefix of the selection, read
+// against the cached uncompensated order.
 func (e *Evaluator) ExplainCtx(ctx context.Context, bonus []float64, k float64) (*Explanation, error) {
-	selWith, err := e.SelectCtx(ctx, bonus, k)
-	if err != nil {
-		return nil, err
-	}
-	selBase, err := e.SelectCtx(ctx, nil, k)
-	if err != nil {
-		return nil, err
-	}
-	eff := rank.EffectiveScoresAll(e.d, e.base, bonus, e.pol, nil)
+	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchExplain, K: k})
+	return a.Explanation, err
+}
 
-	exp := &Explanation{
-		K:         k,
-		Selected:  len(selWith),
-		Bonus:     append([]float64(nil), bonus...),
-		FairNames: e.d.FairNames(),
-	}
-	exp.Cutoff = eff[selWith[len(selWith)-1]]
-	exp.BaseCutoff = e.base[selBase[len(selBase)-1]]
-
-	inWith := make(map[int]bool, len(selWith))
-	for _, i := range selWith {
-		inWith[i] = true
-	}
-	inBase := make(map[int]bool, len(selBase))
-	for _, i := range selBase {
-		inBase[i] = true
-	}
-	for _, i := range selWith {
-		if !inBase[i] {
-			exp.AdmittedByBonus = append(exp.AdmittedByBonus, i)
-		}
-	}
-	for _, i := range selBase {
-		if !inWith[i] {
-			exp.DisplacedByBonus = append(exp.DisplacedByBonus, i)
-		}
-	}
-	sort.Ints(exp.AdmittedByBonus)
-	sort.Ints(exp.DisplacedByBonus)
-
+// explainWS answers one BatchExplain query from a plan's order.
+func (e *Evaluator) explainWS(ws *engine.Workspace, order []int, eff, bonus []float64, k float64, cnt int) *Explanation {
 	dims := e.d.NumFair()
-	exp.GroupCounts = make([]int, dims)
-	exp.BaseGroupCounts = make([]int, dims)
-	for j := 0; j < dims; j++ {
-		col := e.d.FairColumn(j)
-		for _, i := range selWith {
-			if col[i] > 0.5 {
-				exp.GroupCounts[j]++
-			}
-		}
-		for _, i := range selBase {
-			if col[i] > 0.5 {
-				exp.BaseGroupCounts[j]++
-			}
-		}
+	exp := &Explanation{
+		K:               k,
+		Selected:        cnt,
+		Bonus:           make([]float64, dims),
+		FairNames:       e.d.FairNames(),
+		GroupCounts:     make([]int, dims),
+		BaseGroupCounts: make([]int, dims),
 	}
-	return exp, nil
+	copy(exp.Bonus, bonus)
+	exp.Cutoff, exp.BaseCutoff, exp.AdmittedByBonus, exp.DisplacedByBonus = e.selectionWS(ws, order, eff, cnt, exp.GroupCounts, exp.BaseGroupCounts)
+	return exp
 }
 
 // ExplainObject breaks down one object's score against the report's

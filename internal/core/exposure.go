@@ -3,10 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"fairrank/internal/engine"
-	"fairrank/internal/metrics"
-	"fairrank/internal/rank"
 )
 
 // Exposure-family evaluators (Section VI-C4/C5): per-capita exposure with
@@ -18,11 +14,9 @@ import (
 // and callers do the same here by registering a dataset.WithFairColumns
 // view restricted to the binary columns.
 //
-// The sweep variants follow the prefix-sweep engine contract (see
-// sweep.go): points sharing a bonus vector are ranked once, every k is
-// answered from prefix-resumed exposure sums and membership counts, and
-// the finishers are shared with the pointwise evaluators — bit-identical
-// answers on both paths.
+// Every entry point here is a query on the evaluation plan (batch.go):
+// pointwise calls are one-query plans and sweeps run one plan per bonus
+// group, so each metric's prefix fold and finisher exist once.
 
 // exposureGuard validates the dataset capability every exposure-family
 // metric needs: at least one fairness attribute, and all of them binary.
@@ -34,23 +28,6 @@ func (e *Evaluator) exposureGuard() error {
 		return fmt.Errorf("core: exposure metrics require binary fairness attributes; %q is continuous (register a WithFairColumns view of the binary columns)", off)
 	}
 	return nil
-}
-
-// exposureSideWS computes one order's per-capita exposure row and DDP at
-// the single cut in cuts using workspace scratch — the shared finisher of
-// the bundle passes (compensated and base side alike).
-func (e *Evaluator) exposureSideWS(ws *engine.Workspace, order []int, cuts []int) ([]float64, float64, error) {
-	gw := e.d.NumFair() + 1
-	sizes := ws.Cnts(gw)
-	metrics.PrefixExposureCountsInto(e.d, order, cuts, sizes)
-	expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(gw), ws.Agg(gw))
-	ddp, err := metrics.DDPFromExposure(expo, sizes)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]float64, gw)
-	metrics.ExposurePerCapitaInto(expo, sizes, out)
-	return out, ddp, nil
 }
 
 // Exposure returns the per-capita exposure vector of the top-k selection
@@ -65,32 +42,8 @@ func (e *Evaluator) Exposure(bonus []float64, k float64) ([]float64, float64, er
 
 // ExposureCtx is Exposure with cooperative cancellation.
 func (e *Evaluator) ExposureCtx(ctx context.Context, bonus []float64, k float64) ([]float64, float64, error) {
-	if err := e.exposureGuard(); err != nil {
-		return nil, 0, err
-	}
-	cnt, err := rank.SelectCount(e.d.N(), k)
-	if err != nil {
-		return nil, 0, err
-	}
-	ws := e.ws()
-	defer e.put(ws)
-	order, err := e.rankedPrefixWS(ctx, ws, bonus, cnt)
-	if err != nil {
-		return nil, 0, err
-	}
-	g := e.d.NumFair() + 1
-	cnts := ws.Cnts(1 + g)
-	cuts, sizes := cnts[:1], cnts[1:]
-	cuts[0] = cnt
-	metrics.PrefixExposureCountsInto(e.d, order, cuts, sizes)
-	expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(g), ws.Agg(g))
-	ddp, err := metrics.DDPFromExposure(expo, sizes)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]float64, g)
-	metrics.ExposurePerCapitaInto(expo, sizes, out)
-	return out, ddp, nil
+	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchExposure, K: k})
+	return a.Vector, a.Value, err
 }
 
 // ExposureRatio returns the exposure/merit ratio vector of the top-k
@@ -105,33 +58,8 @@ func (e *Evaluator) ExposureRatio(bonus []float64, k float64) ([]float64, error)
 
 // ExposureRatioCtx is ExposureRatio with cooperative cancellation.
 func (e *Evaluator) ExposureRatioCtx(ctx context.Context, bonus []float64, k float64) ([]float64, error) {
-	if err := e.exposureGuard(); err != nil {
-		return nil, err
-	}
-	if !e.d.HasOutcomes() {
-		return nil, fmt.Errorf("core: exposure/merit ratio requires outcomes")
-	}
-	cnt, err := rank.SelectCount(e.d.N(), k)
-	if err != nil {
-		return nil, err
-	}
-	ws := e.ws()
-	defer e.put(ws)
-	order, err := e.rankedPrefixWS(ctx, ws, bonus, cnt)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	cnts := ws.Cnts(1 + dims)
-	cuts, row := cnts[:1], cnts[1:]
-	cuts[0] = cnt
-	metrics.PrefixGroupCountsInto(e.d, order, cuts, row)
-	expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(dims+1), ws.Agg(dims+1))
-	out := make([]float64, dims)
-	for j := range out {
-		out[j] = metrics.ExpRatioFromCounts(expo[j], row[j], e.groupTot[j]-e.negTot[j], e.groupTot[j])
-	}
-	return out, nil
+	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchExpRatio, K: k})
+	return a.Vector, err
 }
 
 // TopKShare returns the top-K rank-fairness vector of the top-k selection
@@ -143,84 +71,23 @@ func (e *Evaluator) TopKShare(bonus []float64, k float64) ([]float64, error) {
 
 // TopKShareCtx is TopKShare with cooperative cancellation.
 func (e *Evaluator) TopKShareCtx(ctx context.Context, bonus []float64, k float64) ([]float64, error) {
-	if err := e.exposureGuard(); err != nil {
-		return nil, err
-	}
-	cnt, err := rank.SelectCount(e.d.N(), k)
-	if err != nil {
-		return nil, err
-	}
-	ws := e.ws()
-	defer e.put(ws)
-	order, err := e.rankedPrefixWS(ctx, ws, bonus, cnt)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	cnts := ws.Cnts(1 + dims)
-	cuts, row := cnts[:1], cnts[1:]
-	cuts[0] = cnt
-	metrics.PrefixGroupCountsInto(e.d, order, cuts, row)
-	n := e.d.N()
-	out := make([]float64, dims)
-	for j := range out {
-		out[j] = metrics.TopKFromCounts(row[j], cnt, e.groupTot[j], n)
-	}
-	return out, nil
+	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchTopK, K: k})
+	return a.Vector, err
 }
 
 // ExposureSweep evaluates the per-capita exposure vector of every sweep
-// point and returns the NumFair+1-wide rows in point order. Points sharing
-// a bonus vector are ranked once and answered from prefix exposure sums. A
-// point whose prefix populates fewer than two groups fails the sweep with
+// point and returns the NumFair+1-wide rows in point order. A point whose
+// prefix populates fewer than two groups fails the sweep with
 // metrics.ErrDegenerateGroups wrapped with the point's index, like the
-// nDCG sweep's zero-ideal case.
+// nDCG sweep's zero-ideal case. See SweepCtx.
 func (e *Evaluator) ExposureSweep(points []SweepPoint) ([][]float64, error) {
 	return e.ExposureSweepCtx(context.Background(), points)
 }
 
 // ExposureSweepCtx is ExposureSweep with cooperative cancellation.
 func (e *Evaluator) ExposureSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
-	if err := e.exposureGuard(); err != nil {
-		return nil, err
-	}
-	groups, err := e.groupPoints(points, rank.SelectCount)
-	if err != nil {
-		return nil, err
-	}
-	g := e.d.NumFair() + 1
-	out := e.vectorRowsW(len(points), g)
-	errs := make([]error, len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, gi int) {
-		gr := &groups[gi]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[gi] = err
-			return
-		}
-		nc := len(gr.cuts)
-		expo := metrics.PrefixExposureInto(e.d, order, gr.cuts, ws.PopN(g), ws.Agg(nc*g))
-		sizes := metrics.PrefixExposureCountsInto(e.d, order, gr.cuts, ws.Cnts(nc*g))
-		for r, pi := range gr.pts {
-			c := gr.cutPos[r]
-			row, szs := expo[c*g:(c+1)*g], sizes[c*g:(c+1)*g]
-			if _, err := metrics.DDPFromExposure(row, szs); err != nil {
-				errs[pi] = err
-				continue
-			}
-			metrics.ExposurePerCapitaInto(row, szs, out[pi])
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, points[i].K, err)
-		}
-	}
-	return out, nil
+	rows, _, err := e.SweepCtx(ctx, BatchExposure, points)
+	return rows, err
 }
 
 // ExpRatioSweep evaluates the exposure/merit ratio of every sweep point
@@ -231,44 +98,8 @@ func (e *Evaluator) ExpRatioSweep(points []SweepPoint) ([][]float64, error) {
 
 // ExpRatioSweepCtx is ExpRatioSweep with cooperative cancellation.
 func (e *Evaluator) ExpRatioSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
-	if err := e.exposureGuard(); err != nil {
-		return nil, err
-	}
-	if !e.d.HasOutcomes() {
-		return nil, fmt.Errorf("core: exposure/merit ratio requires outcomes")
-	}
-	groups, err := e.groupPoints(points, rank.SelectCount)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	g := dims + 1
-	out := e.vectorRows(len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, gi int) {
-		gr := &groups[gi]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[gi] = err
-			return
-		}
-		nc := len(gr.cuts)
-		expo := metrics.PrefixExposureInto(e.d, order, gr.cuts, ws.PopN(g), ws.Agg(nc*g))
-		counts := metrics.PrefixGroupCountsInto(e.d, order, gr.cuts, ws.Cnts(nc*dims))
-		for r, pi := range gr.pts {
-			c := gr.cutPos[r]
-			erow := expo[c*g : c*g+dims]
-			crow := counts[c*dims : (c+1)*dims]
-			dst := out[pi]
-			for j := range dst {
-				dst[j] = metrics.ExpRatioFromCounts(erow[j], crow[j], e.groupTot[j]-e.negTot[j], e.groupTot[j])
-			}
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	rows, _, err := e.SweepCtx(ctx, BatchExpRatio, points)
+	return rows, err
 }
 
 // TopKSweep evaluates the top-K rank-fairness share of every sweep point
@@ -279,37 +110,6 @@ func (e *Evaluator) TopKSweep(points []SweepPoint) ([][]float64, error) {
 
 // TopKSweepCtx is TopKSweep with cooperative cancellation.
 func (e *Evaluator) TopKSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
-	if err := e.exposureGuard(); err != nil {
-		return nil, err
-	}
-	groups, err := e.groupPoints(points, rank.SelectCount)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	n := e.d.N()
-	out := e.vectorRows(len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, gi int) {
-		gr := &groups[gi]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[gi] = err
-			return
-		}
-		counts := metrics.PrefixGroupCountsInto(e.d, order, gr.cuts, ws.Cnts(len(gr.cuts)*dims))
-		for r, pi := range gr.pts {
-			c := gr.cutPos[r]
-			row := counts[c*dims : (c+1)*dims]
-			sel := gr.cuts[c]
-			dst := out[pi]
-			for j := range dst {
-				dst[j] = metrics.TopKFromCounts(row[j], sel, e.groupTot[j], n)
-			}
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	rows, _, err := e.SweepCtx(ctx, BatchTopK, points)
+	return rows, err
 }

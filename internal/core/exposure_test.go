@@ -107,6 +107,12 @@ func checkExposureSweepMatchesPointwise(t *testing.T, ev *Evaluator, points []Sw
 		}
 		wantExpo[i], wantDDP[i] = v, ddp
 	}
+	ref := newReference(ev)
+	for i, pt := range points {
+		if wantExpo[i] != nil {
+			ref.checkMetric(t, "pointwise exposure", BatchExposure, pt.Bonus, pt.K, BatchAnswer{Vector: wantExpo[i], Value: wantDDP[i]})
+		}
+	}
 	expo, err := ev.ExposureSweep(points)
 	switch {
 	case degenerate:
@@ -143,6 +149,10 @@ func checkExposureSweepMatchesPointwise(t *testing.T, ev *Evaluator, points []Sw
 		t.Fatalf("TopKSweep: %v", err)
 	}
 	for i, pt := range points {
+		if ev.Dataset().HasOutcomes() {
+			ref.checkMetric(t, "expratio sweep", BatchExpRatio, pt.Bonus, pt.K, BatchAnswer{Vector: ratio[i]})
+		}
+		ref.checkMetric(t, "topk sweep", BatchTopK, pt.Bonus, pt.K, BatchAnswer{Vector: topk[i]})
 		wantRatio, err := ev.ExposureRatio(pt.Bonus, pt.K)
 		if err != nil {
 			t.Fatal(err)

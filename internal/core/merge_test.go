@@ -189,11 +189,11 @@ func TestMergeCounterfactualDifferential(t *testing.T) {
 			t.Fatalf("k=%g: batch did not take the merge route", k)
 		}
 		ws := ev.ws()
-		order, err := ev.orderWS(context.Background(), ws, bonus)
+		order, _, err := ev.rankedPrefixWS(context.Background(), ws, bonus, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ev.counterfactualsWS(ws, order, bonus, cnt, objs)
+		want := ev.counterfactualsWS(ws, order, ws.Eff(n), cnt, objs)
 		ev.put(ws)
 		for r := range want {
 			if !reflect.DeepEqual(got[r], want[r]) {

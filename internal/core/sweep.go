@@ -5,52 +5,30 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"fairrank/internal/engine"
-	"fairrank/internal/metrics"
-	"fairrank/internal/rank"
 )
 
-// Prefix-sweep engine. A metric sweep is a set of (bonus, k) points; in
-// the common interactive shape — "how does this trained vector behave
-// across selection sizes?" — every point shares one bonus vector and only
-// k varies. The ranking under a bonus vector does not depend on k, so the
-// engine groups points by distinct bonus vector, ranks each group once,
-// and answers every k in the group from prefix aggregates of that single
-// sorted order. Only the leading maxCut positions are ever read, so each
-// group's order comes from rankedPrefixWS: the combo-run merge when
-// eligible (O(maxCut·log g), no population-wide pass at all), the
-// bounded-heap prefix otherwise — an S-point sweep costs one prefix
-// ranking plus O(maxCut·f + S·f) per group instead of
+// Sweeps. A metric sweep is a set of (bonus, k) points; in the common
+// interactive shape — "how does this trained vector behave across
+// selection sizes?" — every point shares one bonus vector and only k
+// varies. The ranking under a bonus vector does not depend on k, so a
+// sweep groups its points by distinct bonus vector and runs one plan per
+// group (see batch.go): each group is ranked once and answers every k
+// from prefix aggregates of that single order — an S-point sweep costs
+// one prefix ranking plus O(maxCut·f + S·f) per group instead of
 // S × O(n log n + n·f).
 //
-// Heterogeneous sweeps (every point its own bonus) degenerate to singleton
-// groups: a prefix over one cut performs exactly the pointwise
-// computation, and the groups fan over the worker pool just as the points
-// themselves used to — the per-point path is the prefix path at S=1.
-//
-// Results are bit-identical to the pointwise evaluators (Disparity, NDCG,
-// DisparateImpact, FPRDiff): the prefix aggregates resume the same
-// left-to-right folds the pointwise metrics compute (see
-// metrics/prefix.go), and the closed-form finishers share their scalar
-// formulas with the pointwise implementations.
+// Heterogeneous sweeps (every point its own bonus) degenerate to
+// singleton groups, which fan over the worker pool just as the points
+// themselves would: the pointwise evaluators are the same plan at S=1, so
+// sweep and pointwise answers are bit-identical by construction.
 
 // SweepPoint is one (bonus vector, selection fraction) evaluation of a
 // parallel sweep.
 type SweepPoint struct {
 	Bonus []float64
 	K     float64
-}
-
-// sweepGroup is the unit of ranking work: all sweep points that share one
-// canonical bonus vector, with their selection counts deduplicated into an
-// ascending cut grid.
-type sweepGroup struct {
-	bonus  []float64 // canonical: nil means the uncompensated ranking
-	pts    []int     // indices into the points slice, in point order
-	cuts   []int     // ascending unique selection counts
-	cutPos []int     // cutPos[r] locates pts[r]'s count within cuts
 }
 
 // canonBonus maps every all-zero (or nil) bonus to nil, so that the
@@ -76,82 +54,90 @@ func bonusKey(b []float64) string {
 	return string(buf)
 }
 
-// groupPoints validates every selection fraction through count and
-// partitions the points into sweepGroups in first-appearance order. The
-// all-points-share-one-bonus fast path is a single comparison scan with no
-// map in sight.
-func (e *Evaluator) groupPoints(points []SweepPoint, count func(n int, frac float64) (int, error)) ([]sweepGroup, error) {
+// groupPoints validates every sweep point in point order — its bonus
+// dimensions, then its fraction for the kind — and partitions the points
+// into one plan per distinct canonical bonus, in first-appearance order.
+// The plans' queries and answers are consecutive slots of shared backing
+// arrays, group by group; pts[s] is the point slot s answers. The
+// all-points-share-one-bonus fast path is a single comparison scan with
+// no map in sight.
+func (e *Evaluator) groupPoints(kind BatchKind, points []SweepPoint) (plans []plan, pts []int, err error) {
 	if len(points) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	n := e.d.N()
-	cnts := make([]int, len(points))
-	for i, pt := range points {
-		c, err := count(n, pt.K)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, pt.K, err)
-		}
-		cnts[i] = c
+	if e.d.N() == 0 {
+		return nil, nil, fmt.Errorf("core: cannot evaluate an empty dataset")
 	}
-
-	var groups []sweepGroup
+	m := len(points)
+	pts = make([]int, m)
+	at := pts // slot of each point: the identity for one group
 	first := canonBonus(points[0].Bonus)
 	homogeneous := true
-	for i := 1; i < len(points); i++ {
-		if !slices.Equal(first, canonBonus(points[i].Bonus)) {
-			homogeneous = false
-			break
-		}
+	for i := 1; i < m && homogeneous; i++ {
+		homogeneous = slices.Equal(first, canonBonus(points[i].Bonus))
 	}
+	var sizes []int
 	if homogeneous {
-		pts := make([]int, len(points))
+		sizes = []int{m}
 		for i := range pts {
 			pts[i] = i
 		}
-		groups = []sweepGroup{{bonus: first, pts: pts}}
 	} else {
-		byKey := make(map[string]int, len(points))
+		byKey := make(map[string]int, m)
+		gid := make([]int, m)
 		for i, pt := range points {
-			b := canonBonus(pt.Bonus)
-			key := bonusKey(b)
+			key := bonusKey(canonBonus(pt.Bonus))
 			g, ok := byKey[key]
 			if !ok {
-				g = len(groups)
+				g = len(sizes)
 				byKey[key] = g
-				groups = append(groups, sweepGroup{bonus: b})
+				sizes = append(sizes, 0)
 			}
-			groups[g].pts = append(groups[g].pts, i)
+			gid[i] = g
+			sizes[g]++
+		}
+		next := make([]int, len(sizes))
+		for g := 1; g < len(sizes); g++ {
+			next[g] = next[g-1] + sizes[g-1]
+		}
+		at = make([]int, m)
+		for i, g := range gid {
+			at[i], pts[next[g]] = next[g], i
+			next[g]++
 		}
 	}
 
-	for gi := range groups {
-		g := &groups[gi]
-		cuts := make([]int, len(g.pts))
-		for r, pi := range g.pts {
-			cuts[r] = cnts[pi]
+	qs := make([]BatchQuery, m)
+	geom := make([]batchGeom, m)
+	ans := make([]BatchAnswer, m)
+	for i, pt := range points {
+		if err := e.checkBonusDims(pt.Bonus); err != nil {
+			return nil, nil, fmt.Errorf("core: sweep point %d: %w", i, err)
 		}
-		sort.Ints(cuts)
-		g.cuts = slices.Compact(cuts)
-		g.cutPos = make([]int, len(g.pts))
-		for r, pi := range g.pts {
-			pos, _ := slices.BinarySearch(g.cuts, cnts[pi])
-			g.cutPos[r] = pos
+		s := at[i]
+		qs[s] = BatchQuery{Kind: kind, K: pt.K}
+		if geom[s], err = e.queryGeom(s, &qs[s], nil); err != nil {
+			return nil, nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, pt.K, plainErr(err))
 		}
 	}
-	return groups, nil
+	plans = make([]plan, len(sizes))
+	off := 0
+	for g, size := range sizes {
+		p := &plans[g]
+		end := off + size
+		*p = plan{e: e, bonus: canonBonus(points[pts[off]].Bonus), qs: qs[off:end], geom: geom[off:end], ans: ans[off:end]}
+		for r := range p.qs {
+			p.add(r, p.geom[r])
+		}
+		off = end
+	}
+	return plans, pts, nil
 }
 
-// vectorRows carves one result row per point from a single backing slice,
-// so a sweep performs two result allocations total instead of one per
-// point.
-func (e *Evaluator) vectorRows(n int) [][]float64 {
-	return e.vectorRowsW(n, e.d.NumFair())
-}
-
-// vectorRowsW is vectorRows with an explicit row width: the exposure sweep
-// returns NumFair+1 entries per point (the named groups plus the
-// unprotected rest), one wider than the per-dimension default.
-func (e *Evaluator) vectorRowsW(n, w int) [][]float64 {
+// vectorRows carves one result row of width w per point from a single
+// backing slice, so a sweep performs two result allocations total instead
+// of one per point.
+func vectorRows(n, w int) [][]float64 {
 	backing := make([]float64, n*w)
 	out := make([][]float64, n)
 	for i := range out {
@@ -160,98 +146,96 @@ func (e *Evaluator) vectorRowsW(n, w int) [][]float64 {
 	return out
 }
 
+// SweepCtx evaluates one metric kind (BatchDisparity, BatchNDCG,
+// BatchDisparateImpact, BatchFPRDiff, BatchExposure, BatchExpRatio or
+// BatchTopK) at every sweep point: BatchNDCG answers with values, every
+// other kind with rows (BatchExposure's per-capita rows are NumFair+1
+// wide), both in point order. Points sharing a bonus vector are one plan,
+// ranked once; distinct bonus vectors fan over the worker pool. A
+// point's data-dependent failure (metrics.ErrZeroIdealDCG,
+// metrics.ErrDegenerateGroups) fails the sweep, wrapped with the first
+// failing point's index. Once ctx is done, no further group is ranked and
+// the context's error is returned; no partial result escapes.
+func (e *Evaluator) SweepCtx(ctx context.Context, kind BatchKind, points []SweepPoint) ([][]float64, []float64, error) {
+	if !slices.Contains(metricKinds[:], kind) {
+		return nil, nil, fmt.Errorf("core: kind %d is not a sweep metric", kind)
+	}
+	if err := e.kindGuard(kind); err != nil {
+		return nil, nil, err
+	}
+	plans, pts, err := e.groupPoints(kind, points)
+	if err != nil {
+		return nil, nil, err
+	}
+	var rows [][]float64
+	var vals []float64
+	if kind == BatchNDCG {
+		vals = make([]float64, len(points))
+	} else {
+		rows = vectorRows(len(points), e.vectorWidth(kind))
+	}
+	s := 0
+	for g := range plans {
+		for r := range plans[g].ans {
+			if rows != nil {
+				plans[g].ans[r].Vector = rows[pts[s]]
+			}
+			s++
+		}
+	}
+	gerrs := make([]error, len(plans))
+	perr := e.parallelCtx(ctx, len(plans), func(ws *engine.Workspace, g int) {
+		gerrs[g] = plans[g].pass(ctx, ws)
+	})
+	if err := firstErr(perr, gerrs); err != nil {
+		return nil, nil, err
+	}
+	bad, s := -1, 0
+	var badErr error
+	for g := range plans {
+		for _, a := range plans[g].ans {
+			pi := pts[s]
+			s++
+			if a.Err != nil && (bad < 0 || pi < bad) {
+				bad, badErr = pi, a.Err
+			}
+			if vals != nil {
+				vals[pi] = a.Value
+			}
+		}
+	}
+	if bad >= 0 {
+		return nil, nil, fmt.Errorf("core: sweep point %d (k=%g): %w", bad, points[bad].K, badErr)
+	}
+	return rows, vals, nil
+}
+
 // DisparitySweep evaluates the full-population disparity of every sweep
-// point and returns the vectors in point order. Points sharing a bonus
-// vector are ranked once and answered from prefix centroids; distinct
-// bonus vectors fan over the worker pool.
+// point and returns the vectors in point order. See SweepCtx.
 func (e *Evaluator) DisparitySweep(points []SweepPoint) ([][]float64, error) {
 	return e.DisparitySweepCtx(context.Background(), points)
 }
 
-// DisparitySweepCtx is DisparitySweep with cooperative cancellation: once
-// ctx is done, no further bonus group is ranked and the context's error is
-// returned; no partial result escapes.
+// DisparitySweepCtx is DisparitySweep with cooperative cancellation.
 func (e *Evaluator) DisparitySweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
-	groups, err := e.groupPoints(points, rank.SelectCount)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	out := e.vectorRows(len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, g int) {
-		gr := &groups[g]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[g] = err
-			return
-		}
-		cent := metrics.PrefixCentroidInto(e.d, order, gr.cuts, ws.Pop(), ws.Agg(len(gr.cuts)*dims))
-		for r, pi := range gr.pts {
-			row := cent[gr.cutPos[r]*dims : (gr.cutPos[r]+1)*dims]
-			dst := out[pi]
-			for j := range dst {
-				dst[j] = row[j] - e.centroid[j]
-			}
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	rows, _, err := e.SweepCtx(ctx, BatchDisparity, points)
+	return rows, err
 }
 
 // NDCGSweep evaluates the nDCG of every sweep point and returns the values
-// in point order. Points sharing a bonus vector are ranked once and
-// answered from prefix DCG sums over the compensated and original orders.
+// in point order. See SweepCtx.
 func (e *Evaluator) NDCGSweep(points []SweepPoint) ([]float64, error) {
 	return e.NDCGSweepCtx(context.Background(), points)
 }
 
 // NDCGSweepCtx is NDCGSweep with cooperative cancellation.
 func (e *Evaluator) NDCGSweepCtx(ctx context.Context, points []SweepPoint) ([]float64, error) {
-	groups, err := e.groupPoints(points, metrics.PrefixCount)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(points))
-	errs := make([]error, len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, g int) {
-		gr := &groups[g]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[g] = err
-			return
-		}
-		nc := len(gr.cuts)
-		agg := ws.Agg(2 * nc)
-		corrected := metrics.PrefixDCGInto(e.base, order, gr.cuts, agg[:nc])
-		ideal := metrics.PrefixDCGInto(e.base, e.origOrd, gr.cuts, agg[nc:])
-		for r, pi := range gr.pts {
-			c := gr.cutPos[r]
-			if ideal[c] == 0 {
-				errs[pi] = metrics.ErrZeroIdealDCG
-				continue
-			}
-			out[pi] = corrected[c] / ideal[c]
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, points[i].K, err)
-		}
-	}
-	return out, nil
+	_, vals, err := e.SweepCtx(ctx, BatchNDCG, points)
+	return vals, err
 }
 
 // DisparateImpactSweep evaluates the scaled disparate impact of every
-// sweep point and returns the vectors in point order. Points sharing a
-// bonus vector are ranked once and answered from prefix group counts; the
-// population group sizes are evaluator constants.
+// sweep point and returns the vectors in point order. See SweepCtx.
 func (e *Evaluator) DisparateImpactSweep(points []SweepPoint) ([][]float64, error) {
 	return e.DisparateImpactSweepCtx(context.Background(), points)
 }
@@ -259,101 +243,28 @@ func (e *Evaluator) DisparateImpactSweep(points []SweepPoint) ([][]float64, erro
 // DisparateImpactSweepCtx is DisparateImpactSweep with cooperative
 // cancellation.
 func (e *Evaluator) DisparateImpactSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
-	groups, err := e.groupPoints(points, rank.SelectCount)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	n := e.d.N()
-	out := e.vectorRows(len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, g int) {
-		gr := &groups[g]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[g] = err
-			return
-		}
-		counts := metrics.PrefixGroupCountsInto(e.d, order, gr.cuts, ws.Cnts(len(gr.cuts)*dims))
-		for r, pi := range gr.pts {
-			c := gr.cutPos[r]
-			row := counts[c*dims : (c+1)*dims]
-			sel := gr.cuts[c]
-			dst := out[pi]
-			for j := range dst {
-				dst[j] = metrics.ImpactFromCounts(row[j], e.groupTot[j], sel-row[j], n-e.groupTot[j])
-			}
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	rows, _, err := e.SweepCtx(ctx, BatchDisparateImpact, points)
+	return rows, err
 }
 
 // FPRDiffSweep evaluates the per-group false-positive-rate difference of
 // every sweep point and returns the vectors in point order. The dataset
-// must carry outcomes. Points sharing a bonus vector are ranked once and
-// answered from prefix false-positive counts; the ground-truth-negative
-// totals are evaluator constants.
+// must carry outcomes. See SweepCtx.
 func (e *Evaluator) FPRDiffSweep(points []SweepPoint) ([][]float64, error) {
 	return e.FPRDiffSweepCtx(context.Background(), points)
 }
 
 // FPRDiffSweepCtx is FPRDiffSweep with cooperative cancellation.
 func (e *Evaluator) FPRDiffSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
-	if !e.d.HasOutcomes() {
-		return nil, fmt.Errorf("core: FPR evaluation requires outcomes")
-	}
-	groups, err := e.groupPoints(points, rank.SelectCount)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	out := e.vectorRows(len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, g int) {
-		gr := &groups[g]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[g] = err
-			return
-		}
-		nc := len(gr.cuts)
-		cnts := ws.Cnts(nc*dims + nc)
-		rows, all := cnts[:nc*dims], cnts[nc*dims:]
-		metrics.PrefixFPCountsInto(e.d, order, gr.cuts, rows, all)
-		for r, pi := range gr.pts {
-			c := gr.cutPos[r]
-			dst := out[pi]
-			if e.negAll == 0 {
-				for j := range dst {
-					dst[j] = 0
-				}
-				continue
-			}
-			overall := float64(all[c]) / float64(e.negAll)
-			row := rows[c*dims : (c+1)*dims]
-			for j := range dst {
-				if e.negTot[j] == 0 {
-					dst[j] = 0
-					continue
-				}
-				dst[j] = float64(row[j])/float64(e.negTot[j]) - overall
-			}
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	rows, _, err := e.SweepCtx(ctx, BatchFPRDiff, points)
+	return rows, err
 }
 
-// firstErr merges the pool-level cancellation error with the per-group
-// worker errors. Group errors win: they carry the site that actually
+// firstErr merges the pool-level cancellation error with the per-task
+// worker errors. Task errors win: they carry the site that actually
 // failed (the pool error is the same context error one dispatch later).
-func firstErr(poolErr error, gerrs []error) error {
-	for _, err := range gerrs {
+func firstErr(poolErr error, terrs []error) error {
+	for _, err := range terrs {
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -121,7 +122,13 @@ func checkSweepMatchesPointwise(t *testing.T, ev *Evaluator, points []SweepPoint
 	if err != nil {
 		t.Fatalf("FPRDiffSweep: %v", err)
 	}
+	ref := newReference(ev)
 	for i, pt := range points {
+		label := "sweep point " + strconv.Itoa(i)
+		ref.checkMetric(t, label, BatchDisparity, pt.Bonus, pt.K, BatchAnswer{Vector: disp[i]})
+		ref.checkMetric(t, label, BatchNDCG, pt.Bonus, pt.K, BatchAnswer{Value: ndcg[i]})
+		ref.checkMetric(t, label, BatchDisparateImpact, pt.Bonus, pt.K, BatchAnswer{Vector: di[i]})
+		ref.checkMetric(t, label, BatchFPRDiff, pt.Bonus, pt.K, BatchAnswer{Vector: fpr[i]})
 		wantDisp, err := ev.Disparity(pt.Bonus, pt.K)
 		if err != nil {
 			t.Fatal(err)

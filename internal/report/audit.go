@@ -202,9 +202,9 @@ func BuildBundleStatsCtx(ctx context.Context, ev *core.Evaluator, cfg BundleConf
 // ValidateBundleConfig checks an audit request against the evaluator's
 // dataset and returns the normalized margin window (zero maps to
 // DefaultMargins). BuildBundleStatsCtx runs it before computing; callers
-// that route the computation elsewhere — the service micro-batcher hands
-// the pass to core.AnswerBatchCtx — run it themselves first, so every
-// rejection is byte-identical to the direct path's.
+// that route the computation elsewhere — the service asks for the bundle
+// as a core.BatchBundle query of a shared plan — run it themselves first,
+// so every rejection is byte-identical to the direct path's.
 func ValidateBundleConfig(ev *core.Evaluator, cfg BundleConfig) (int, error) {
 	d := ev.Dataset()
 	if d.N() == 0 {

@@ -11,7 +11,6 @@ import (
 
 	"fairrank/internal/core"
 	"fairrank/internal/faultinject"
-	"fairrank/internal/report"
 )
 
 // Cross-request micro-batching. Singleflight coalesces byte-identical
@@ -231,7 +230,7 @@ func (b *batcher) run(ctx context.Context, g *batchGroup, live []*batchCall) (an
 	for _, c := range live {
 		qs = append(qs, c.queries...)
 	}
-	return g.entry.eval.AnswerBatchCtx(ctx, g.bonus, qs)
+	return g.entry.plan(ctx, g.bonus, qs)
 }
 
 // errBatchPanic mirrors the recovery middleware's panic answer. Batch
@@ -248,95 +247,50 @@ func isZeroBonus(b []float64) bool {
 	return true
 }
 
-// batchableSweep reports whether a sweep's missing points can ride a
-// micro-batch: batching must be enabled and every point must share one
-// non-zero bonus vector. A zero bonus is answered from the cached base
-// order for free (nothing to share), and a multi-bonus sweep already
-// fans its per-bonus groups over the engine worker pool.
-func (s *Server) batchableSweep(pts []core.SweepPoint) ([]float64, bool) {
-	if s.batch == nil || len(pts) == 0 {
-		return nil, false
+// answer runs one shared-bonus evaluation plan for a request: through the
+// micro-batch window when one is configured and the bonus is non-zero,
+// directly otherwise. A zero bonus is answered from the cached base order
+// for free, so there is nothing to share. Every read endpoint and the
+// post-train diagnostics come through here.
+func (s *Server) answer(ctx context.Context, e *Entry, bonus []float64, qs []core.BatchQuery) ([]core.BatchAnswer, error) {
+	if s.batch != nil && !isZeroBonus(bonus) {
+		return s.batch.submit(ctx, e, bonus, qs)
 	}
-	first := pts[0].Bonus
-	if isZeroBonus(first) {
-		return nil, false
-	}
-	for _, pt := range pts[1:] {
-		if !slices.Equal(first, pt.Bonus) {
-			return nil, false
-		}
-	}
-	return first, true
+	return e.plan(ctx, bonus, qs)
 }
 
-// batchSweep answers one single-bonus sweep through the micro-batcher:
-// each point becomes one batch query, and the shared pass returns rows
-// bit-identical to the direct sweep engine — both resume the same prefix
-// folds over the same ranked prefix.
-func (s *Server) batchSweep(ctx context.Context, e *Entry, metric string, bonus []float64, pts []core.SweepPoint) ([][]float64, []float64, error) {
-	// The kind comes from the metric registry. An unmapped metric used to
-	// fall through a switch with no default, zero-valuing the kind into
-	// BatchDisparity and silently serving disparity rows under the wrong
-	// metric name; now it refuses loudly before any query is built.
-	spec, ok := metricByName(metric)
-	if !ok {
-		return nil, nil, fmt.Errorf("metric %q has no batch kind in the service registry", metric)
+// plan runs one plan on the entry's evaluator: the direct path of answer
+// and a flushed batch window both end here.
+func (e *Entry) plan(ctx context.Context, bonus []float64, qs []core.BatchQuery) ([]core.BatchAnswer, error) {
+	return e.eval.AnswerBatchCtx(ctx, bonus, qs)
+}
+
+// sweep answers a sweep's missing points. Points that share one bonus are
+// one plan, which rides the micro-batch window when one is configured;
+// a multi-bonus sweep runs one plan per bonus group on the engine worker
+// pool. Both resume the same prefix folds, so the rows are bit-identical
+// either way, and a point's own failure fails the sweep in the same shape:
+// missing-local point index plus fraction.
+func (s *Server) sweep(ctx context.Context, e *Entry, spec metricSpec, pts []core.SweepPoint) ([][]float64, []float64, error) {
+	for _, pt := range pts[1:] {
+		if !slices.Equal(pts[0].Bonus, pt.Bonus) {
+			return e.eval.SweepCtx(ctx, spec.kind, pts)
+		}
 	}
 	qs := make([]core.BatchQuery, len(pts))
 	for i, pt := range pts {
 		qs[i] = core.BatchQuery{Kind: spec.kind, K: pt.K}
 	}
-	answers, err := s.batch.submit(ctx, e, bonus, qs)
+	answers, err := s.answer(ctx, e, pts[0].Bonus, qs)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Per-query errors (ndcg's missing outcomes at a cut, exposure's
-	// degenerate prefixes) fail the whole sweep in the exact shape the
-	// direct engine reports: missing-local point index plus fraction.
+	vecs, vals := make([][]float64, len(pts)), make([]float64, len(pts))
 	for i, a := range answers {
 		if a.Err != nil {
 			return nil, nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, pts[i].K, a.Err)
 		}
+		vecs[i], vals[i] = a.Vector, a.Value
 	}
-	if spec.scalar {
-		vals := make([]float64, len(pts))
-		for i, a := range answers {
-			vals[i] = a.Value
-		}
-		return nil, vals, nil
-	}
-	vecs := make([][]float64, len(pts))
-	for i, a := range answers {
-		vecs[i] = a.Vector
-	}
-	return vecs, nil, nil
-}
-
-// batchReport builds one audit bundle's stats through the micro-batcher.
-// Validation mirrors the direct path exactly — the same report-layer
-// function, run before the window — so a malformed request is rejected
-// with byte-identical errors and never joins a batch, and the margin
-// normalization matches BuildBundleStats' (zero maps to the default).
-func (s *Server) batchReport(ctx context.Context, e *Entry, cfg report.BundleConfig) (*core.BundleStats, error) {
-	margins, err := report.ValidateBundleConfig(e.eval, cfg)
-	if err != nil {
-		return nil, err
-	}
-	bcfg := &core.BundleStatsConfig{
-		Bonus:           cfg.Bonus,
-		K:               cfg.K,
-		Margins:         margins,
-		IncludeFPR:      cfg.IncludeFPR,
-		IncludeExposure: cfg.IncludeExposure,
-	}
-	answers, err := s.batch.submit(ctx, e, cfg.Bonus, []core.BatchQuery{
-		{Kind: core.BatchBundle, Bundle: bcfg},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if answers[0].Err != nil {
-		return nil, answers[0].Err
-	}
-	return answers[0].Bundle, nil
+	return vecs, vals, nil
 }

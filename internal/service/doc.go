@@ -28,7 +28,10 @@
 //   - Evaluate sweeps are cached per point: each (dataset, metric, bonus,
 //     k) row is its own LRU entry, so a cached sweep answers any subset of
 //     its k-grid and a widened grid only computes the new cuts — on one
-//     ranking, through the core prefix-sweep engine.
+//     ranking, through the core evaluation plan.
+//   - Every read endpoint and the post-train diagnostics reach the core
+//     through Server.answer: one plan per request, or one per micro-batch
+//     window when batching is enabled and the bonus is non-zero.
 //   - Counterfactuals are cached per object — each (dataset, bonus, k,
 //     object) answer is its own LRU entry — and audit bundles per
 //     (dataset, bonus, k, margins, fpr) build, independent of the

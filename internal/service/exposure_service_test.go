@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"fairrank/internal/core"
 	"fairrank/internal/metrics"
 )
 
@@ -205,25 +204,25 @@ func TestReportExposureSection(t *testing.T) {
 }
 
 // TestBatchSweepUnknownMetricFailsLoudly is the regression test for the
-// silent metric-kind misrouting: batchSweep used to map unknown metrics
-// through a switch with no default, so the zero-valued BatchKind served
-// DISPARITY rows under whatever name the caller passed. It must refuse
-// instead.
+// silent metric-kind misrouting: the batched sweep path used to map
+// unknown metrics through a switch with no default, so the zero-valued
+// BatchKind served DISPARITY rows under whatever name the caller passed.
+// A sweep that skipped request validation must refuse instead.
 func TestBatchSweepUnknownMetricFailsLoudly(t *testing.T) {
 	s, _ := newDiffServer(t, Config{BatchSize: 4, BatchMaxWait: time.Millisecond})
 	e, ok := s.reg.Get("compas")
 	if !ok {
 		t.Fatal("compas not registered")
 	}
-	pts := []core.SweepPoint{{Bonus: []float64{1, 1, 1, 1, 1, 1}, K: 0.1}}
-	vecs, vals, err := s.batchSweep(context.Background(), e, "entropy", []float64{1, 1, 1, 1, 1, 1}, pts)
+	req := EvaluateRequest{Dataset: "compas", Metric: "entropy", Points: []SweepPointRequest{{Bonus: []float64{1, 1, 1, 1, 1, 1}, K: 0.1}}}
+	resp, err := s.evaluateSweep(context.Background(), e, req)
 	if err == nil {
-		t.Fatalf("unmapped metric answered (vecs %v, vals %v), want an error", vecs, vals)
+		t.Fatalf("unmapped metric answered (vecs %v, vals %v), want an error", resp.Vectors, resp.Values)
 	}
 	if !strings.Contains(err.Error(), `"entropy"`) || !strings.Contains(err.Error(), "registry") {
 		t.Errorf("error %q does not name the metric and the registry", err)
 	}
-	if vecs != nil || vals != nil {
-		t.Errorf("failed lookup still returned rows: %v %v", vecs, vals)
+	if resp.Vectors != nil || resp.Values != nil {
+		t.Errorf("failed lookup still returned rows: %v %v", resp.Vectors, resp.Values)
 	}
 }

@@ -146,11 +146,13 @@ func writeHTTPError(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 // pipelineErr classifies an error out of a compute pipeline: context
-// errors pass through untouched so writeHTTPError can apply the
-// cancellation mapping; anything else was the request's mistake (or, for
-// status 5xx, the server's) and is wrapped with the given status.
+// errors and errors that already carry a status (a batch shed or panic)
+// pass through untouched so writeHTTPError can map them; anything else
+// was the request's mistake (or, for status 5xx, the server's) and is
+// wrapped with the given status.
 func pipelineErr(err error, status int) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	var he *httpError
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.As(err, &he) {
 		return err
 	}
 	return &httpError{status: status, msg: err.Error()}
@@ -211,7 +213,7 @@ func (s *Server) runTrain(ctx context.Context, e *Entry, p *trainParams, key str
 		s.cache.put(beforeKey, before)
 	}
 	// Both diagnostics of the trained vector come from one ranked pass.
-	ans, err := e.eval.AnswerBatchCtx(ctx, res.Bonus, []core.BatchQuery{
+	ans, err := s.answer(ctx, e, res.Bonus, []core.BatchQuery{
 		{Kind: core.BatchDisparity, K: p.req.K},
 		{Kind: core.BatchNDCG, K: p.req.K},
 	})
@@ -330,46 +332,13 @@ func (s *Server) evaluateSweep(ctx context.Context, e *Entry, req EvaluateReques
 		for r, i := range missing {
 			pts[r] = core.SweepPoint{Bonus: req.Points[i].Bonus, K: req.Points[i].K}
 		}
-		var vecs [][]float64
-		var vals []float64
-		var err error
-		if bonus, ok := s.batchableSweep(pts); ok {
-			// Single non-zero bonus: the whole sweep rides the micro-batch
-			// window, sharing one ranked pass with every other concurrent
-			// request on the same (dataset, bonus).
-			vecs, vals, err = s.batchSweep(ctx, e, req.Metric, bonus, pts)
-		} else {
-			switch req.Metric {
-			case "disparity":
-				vecs, err = e.eval.DisparitySweepCtx(ctx, pts)
-			case "di":
-				vecs, err = e.eval.DisparateImpactSweepCtx(ctx, pts)
-			case "fpr":
-				vecs, err = e.eval.FPRDiffSweepCtx(ctx, pts)
-			case "ndcg":
-				vals, err = e.eval.NDCGSweepCtx(ctx, pts)
-			case "exposure":
-				vecs, err = e.eval.ExposureSweepCtx(ctx, pts)
-			case "expratio":
-				vecs, err = e.eval.ExpRatioSweepCtx(ctx, pts)
-			case "topk":
-				vecs, err = e.eval.TopKSweepCtx(ctx, pts)
-			default:
-				// Registry row without a sweep arm: a wiring bug, not a
-				// user error. Refuse instead of serving the wrong metric.
-				err = fmt.Errorf("metric %q has no sweep dispatch", req.Metric)
-			}
-		}
+		vecs, vals, err := s.sweep(ctx, e, spec, pts)
 		if err != nil {
 			// Nothing is cached on failure: rows reach the LRU only below,
 			// after the whole sweep (batched or not) succeeded, so a failed
 			// or canceled request cannot poison the per-point cache with
 			// partial results — and a failed BATCH leaves every member's
 			// keys cold, since each member caches only its own rows here.
-			var he *httpError
-			if errors.As(err, &he) {
-				return EvaluateResponse{}, err // batch shed/panic keeps its own status
-			}
 			return EvaluateResponse{}, pipelineErr(err, http.StatusBadRequest)
 		}
 		for r, i := range missing {
@@ -449,11 +418,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeHTTPError(w, r, err)
 		return
 	}
-	exp, err := e.eval.ExplainCtx(ctx, bonus, k)
+	answers, err := s.answer(ctx, e, bonus, []core.BatchQuery{{Kind: core.BatchExplain, K: k}})
 	if err != nil {
 		writeHTTPError(w, r, pipelineErr(err, http.StatusBadRequest))
 		return
 	}
+	exp := answers[0].Explanation
 	resp := ExplainResponse{
 		Dataset:          e.name,
 		K:                exp.K,
@@ -560,33 +530,16 @@ func (s *Server) runCounterfactual(ctx context.Context, e *Entry, req Counterfac
 		for r, i := range missing {
 			objs[r] = req.Objects[i]
 		}
-		var cfs []core.Counterfactual
-		var err error
-		if s.batch != nil && !isZeroBonus(req.Bonus) {
-			// The request becomes one query of a shared-bonus micro-batch;
-			// a zero bonus skips the window (the cached base order answers
-			// it for free, so there is nothing to share).
-			var answers []core.BatchAnswer
-			answers, err = s.batch.submit(ctx, e, req.Bonus, []core.BatchQuery{
-				{Kind: core.BatchCounterfactual, K: req.K, Objects: objs},
-			})
-			if err == nil {
-				cfs = answers[0].Counterfactuals
-			}
-		} else {
-			cfs, err = e.eval.CounterfactualBatchCtx(ctx, req.Bonus, req.K, objs)
-		}
+		answers, err := s.answer(ctx, e, req.Bonus, []core.BatchQuery{
+			{Kind: core.BatchCounterfactual, K: req.K, Objects: objs},
+		})
 		if err != nil {
 			// As with sweeps, per-object rows are cached only after the
 			// whole batch succeeded — cancellation leaves the cache clean.
-			var he *httpError
-			if errors.As(err, &he) {
-				return CounterfactualResponse{}, err
-			}
 			return CounterfactualResponse{}, pipelineErr(err, http.StatusBadRequest)
 		}
 		for r, i := range missing {
-			res := toCounterfactualResult(cfs[r])
+			res := toCounterfactualResult(answers[0].Counterfactuals[r])
 			resp.Results[i] = res
 			s.cache.put(keys[i], res)
 		}
@@ -712,31 +665,22 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			// One rank-once BundleData pass yields both the bundle and the
 			// margin counterfactuals; the latter seed the per-object cache
 			// so /v1/counterfactual shares the work wherever keys coincide.
-			rcfg := report.BundleConfig{
+			// The report layer validates the audit request (so a malformed
+			// one never joins a window) and normalizes the margin window.
+			st, err := s.bundleStats(ctx, e, report.BundleConfig{
 				Dataset:         e.name,
 				Bonus:           bonus,
 				K:               k,
 				Margins:         margins,
 				IncludeFPR:      includeFPR,
 				IncludeExposure: includeExposure,
-			}
-			var st *core.BundleStats
-			var err error
-			if s.batch != nil {
-				st, err = s.batchReport(ctx, e, rcfg)
-			} else {
-				st, err = report.BuildBundleStatsCtx(ctx, e.eval, rcfg)
-			}
+			})
 			if err != nil {
 				// Build rejections are request mistakes (bad fraction,
 				// zero policy, FPR without outcomes), not server faults;
 				// cancellation passes through to the context mapping. The
 				// bundle and the margin seeds reach the cache only on
 				// success, so an abandoned build caches nothing.
-				var he *httpError
-				if errors.As(err, &he) {
-					return nil, err
-				}
 				return nil, pipelineErr(err, http.StatusBadRequest)
 			}
 			b := report.FromStats(e.eval, e.name, st)
@@ -760,6 +704,26 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	_ = bundle.Render(w, format) // status line already out
+}
+
+// bundleStats validates an audit request exactly as
+// report.BuildBundleStats does, then answers it as one BatchBundle query.
+func (s *Server) bundleStats(ctx context.Context, e *Entry, cfg report.BundleConfig) (*core.BundleStats, error) {
+	margins, err := report.ValidateBundleConfig(e.eval, cfg)
+	if err != nil {
+		return nil, err
+	}
+	answers, err := s.answer(ctx, e, cfg.Bonus, []core.BatchQuery{{Kind: core.BatchBundle, Bundle: &core.BundleStatsConfig{
+		Bonus:           cfg.Bonus,
+		K:               cfg.K,
+		Margins:         margins,
+		IncludeFPR:      cfg.IncludeFPR,
+		IncludeExposure: cfg.IncludeExposure,
+	}}})
+	if err != nil {
+		return nil, err
+	}
+	return answers[0].Bundle, answers[0].Err
 }
 
 // seedMarginCounterfactuals publishes the boundary-window counterfactuals

@@ -9,9 +9,10 @@ import (
 
 // The metric registry is the single source of truth for every sweep
 // metric /v1/evaluate serves. Request validation, the dataset-capability
-// guard, the direct sweep dispatch, the micro-batch kind mapping, and
-// the norm gather all consult this table, so adding a metric is one new
-// row here plus one arm in sweepDirect — nothing else to keep in sync.
+// guard, the sweep dispatch (a row's kind is the core plan's query kind,
+// for core.SweepCtx and the shared-bonus plan alike) and the norm gather
+// all consult this table, so adding a metric is one new row here plus
+// its fold in the core plan — nothing else to keep in sync.
 // (scripts/checkdocs.sh greps the name: fields below to demand that the
 // ARCHITECTURE.md metric table documents every registered metric.)
 
@@ -19,10 +20,9 @@ import (
 type metricSpec struct {
 	// name is the wire name accepted by /v1/evaluate and cmd/dca -sweep.
 	name string
-	// kind is the micro-batch query kind the metric maps to. Every
-	// registered metric MUST be batchable: batchSweep fails loudly if a
-	// row is ever added without one, instead of zero-valuing into
-	// BatchDisparity and silently serving the wrong metric.
+	// kind is the core plan query kind the metric maps to; core.SweepCtx
+	// refuses a kind that is not a metric instead of serving the wrong
+	// one.
 	kind core.BatchKind
 	// scalar metrics answer with Values; vector metrics with
 	// Vectors + Norms.

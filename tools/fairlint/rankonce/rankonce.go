@@ -1,10 +1,12 @@
 // Package rankonce enforces the rank-once invariant: exactness-pinned
 // engine packages must not sort or heap-select cohort-sized score data
-// themselves. Every ranking flows through the single
-// Evaluator.rankedPrefixWS seam (internal/rank does the actual
-// sorting), so sweeps, bundles, and counterfactuals provably share
-// ranked passes — the property the differential harnesses and the
-// ranking-count budget assertions pin.
+// themselves. Every evaluator ranking flows through the single
+// Evaluator.rankedPrefixWS route of the evaluation plan (internal/rank
+// does the actual sorting; only the evaluator's cached base order,
+// Evaluator.Order and the trainer objectives call it elsewhere), so
+// sweeps, pointwise metrics, bundles, explanations and counterfactuals
+// provably share ranked passes — the property the reference
+// differentials and the ranking-count budget assertions pin.
 //
 // Flagged in matching packages (non-test files): sort.Slice,
 // sort.SliceStable, sort.Sort, sort.Stable, the slices.Sort* family,

@@ -4,7 +4,7 @@
 // silently overwritten by the next request on the pool.
 //
 // The engine's documented convention: only functions whose name ends
-// in "WS" (orderWS, rankedPrefixWS, selectWS, counterfactualsWS, ...)
+// in "WS" (rankedPrefixWS, counterfactualsWS, ...)
 // may return workspace-aliasing slices — their callers hold the
 // workspace and must copy before releasing it. This analyzer makes the
 // convention mechanical. In non-test files it flags:
