@@ -133,6 +133,46 @@ func benchTrainerWarm(b *testing.B, k float64) {
 	}
 }
 
+// BenchmarkWhatIfSession80k is one stakeholder session on the 80k school
+// cohort, in process: a 64-point disparity sweep to k=1 of a bonus vector
+// no earlier op has asked about, then at k=0.05 its audit bundle,
+// counterfactuals for 32 applicants and its explanation. The sweep ranks
+// the vector; the three later questions read its order from the
+// evaluator's ranked-order memo, and the bundle adds one leave-one-out
+// merge per non-zero bonus entry.
+func BenchmarkWhatIfSession80k(b *testing.B) {
+	d, err := fairrank.GenerateSchool(fairrank.DefaultSchoolConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := fairrank.NewEvaluator(d, fairrank.WeightedSum{Weights: fairrank.SchoolScoreWeights()}, fairrank.Beneficial)
+	objs := make([]int, 32)
+	for i := range objs {
+		objs[i] = (i * d.N()) / 33
+	}
+	pts := make([]fairrank.SweepPoint, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bonus := []float64{2 + 0.5*float64(i), 11, 10.5, 12.5}
+		for j := range pts {
+			pts[j] = fairrank.SweepPoint{Bonus: bonus, K: float64(j+1) / 64}
+		}
+		if _, err := ev.DisparitySweep(pts); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fairrank.BuildAuditBundle(ev, fairrank.AuditConfig{Dataset: "school", Bonus: bonus, K: 0.05}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ev.CounterfactualBatch(bonus, 0.05, objs); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ev.Explain(bonus, 0.05); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Ensemble training cost (the engine's concurrent evaluation layer: one
 // workspace per worker goroutine, shared base scores).
 

@@ -144,7 +144,10 @@ func ExampleEvaluator_Counterfactual() {
 	ev := fairrank.NewEvaluator(d, fairrank.WeightedSum{Weights: []float64{1}}, fairrank.Beneficial)
 
 	bonus := []float64{5}
-	order := ev.Order(bonus)
+	order, err := ev.Order(bonus)
+	if err != nil {
+		panic(err)
+	}
 	sel, _ := ev.Select(bonus, 0.1)
 	first := order[len(sel)] // best-ranked excluded object
 

@@ -21,8 +21,10 @@ import (
 // multi-bonus sweep, one per bonus group) and runs it.
 //
 //   - validation happens once, up front, for every query of the plan;
-//   - rankedPrefixWS ranks once (combo-run merge → bounded-heap prefix →
-//     full order);
+//   - rankedPrefixWS ranks once (ranked-order memo → combo-run merge →
+//     bounded-heap prefix → full order), and the primary pass leaves its
+//     order in the memo, so the next plan on the same bonus (another
+//     request, another k) reads it instead of ranking again;
 //   - each metric kind runs its prefix fold once over the ascending union
 //     of its queries' cuts and its finisher turns one row per query into
 //     the answer — a fold's value at a cut does not depend on which other
@@ -428,6 +430,7 @@ func (p *plan) pass(ctx context.Context, ws *engine.Workspace) error {
 	eff := e.base
 	if p.bonus != nil {
 		eff = ws.Eff(e.d.N()) // filled by rankedPrefixWS for every id it emits
+		e.memo.write(p.bonus, order, e.d.N())
 	}
 
 	// Grid scratch, reused kind by kind: the queries of one kind (idx),
@@ -504,8 +507,8 @@ func (e *Evaluator) fold(ws *engine.Workspace, order []int, kind BatchKind, cuts
 		}
 	case BatchNDCG:
 		agg := ws.Agg(2 * nc)
-		corrected := metrics.PrefixDCGInto(e.base, order, cuts, agg[:nc])
-		ideal := metrics.PrefixDCGInto(e.base, e.origOrd, cuts, agg[nc:])
+		corrected, ideal := agg[:nc], agg[nc:]
+		metrics.PrefixDCGPairInto(e.base, order, e.origOrd, cuts, corrected, ideal)
 		for r, qi := range idx {
 			if c := pos[r]; ideal[c] == 0 {
 				ans[qi].Err = metrics.ErrZeroIdealDCG

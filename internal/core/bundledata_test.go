@@ -136,7 +136,7 @@ func checkBundleStatsAgainstPointwise(t *testing.T, ev *Evaluator, cfg BundleSta
 	if hi > n {
 		hi = n
 	}
-	window := append([]int(nil), ev.Order(cfg.Bonus)[lo:hi]...)
+	window := append([]int(nil), mustOrder(t, ev, cfg.Bonus)[lo:hi]...)
 	want, err := ev.CounterfactualBatch(cfg.Bonus, cfg.K, window)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestRankedPrefixMatchesFullSort(t *testing.T) {
 	d := bundleCohort(t, rng, 120, 2, false, true, false)
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
 	bonus := []float64{1.5, 0.5}
-	full := ev.Order(bonus)
+	full := mustOrder(t, ev, bonus)
 	ws := ev.ws()
 	defer ev.put(ws)
 	for p := 1; p <= d.N(); p++ {

@@ -7,7 +7,6 @@ import (
 
 	"fairrank/internal/engine"
 	"fairrank/internal/metrics"
-	"fairrank/internal/rank"
 )
 
 // Counterfactual answers, for one object, the question the paper's
@@ -189,46 +188,6 @@ func (e *Evaluator) counterfactualsMergeWS(ws *engine.Workspace, order []int, bo
 		out[r] = cf
 	}
 	return out, true
-}
-
-// CounterfactualWindow computes counterfactuals for the boundary window of
-// the selection — the m last selected and m first excluded objects, in
-// rank order — from a single ranking. This is the audit-bundle margin
-// workload: the window ids come off the same sorted order the
-// counterfactuals are answered from, so the whole call pays one ranking.
-func (e *Evaluator) CounterfactualWindow(bonus []float64, k float64, m int) ([]Counterfactual, error) {
-	if err := e.checkBonusDims(bonus); err != nil {
-		return nil, err
-	}
-	if m < 0 {
-		return nil, fmt.Errorf("core: window size %d is negative", m)
-	}
-	cnt, err := rank.SelectCount(e.d.N(), k)
-	if err != nil {
-		return nil, err
-	}
-	lo := cnt - m
-	if lo < 0 {
-		lo = 0
-	}
-	hi := cnt + m
-	if hi > e.d.N() {
-		hi = e.d.N()
-	}
-	ws := e.ws()
-	defer e.put(ws)
-	// Only the leading hi positions are ever read (window ids, ranks, and
-	// boundary competitors all live there), so a ranked prefix suffices —
-	// it is bit-identical to the full order's leading segment.
-	order, _, err := e.rankedPrefixWS(context.Background(), ws, bonus, hi, false)
-	if err != nil {
-		return nil, err
-	}
-	eff := e.base
-	if !isZero(bonus) {
-		eff = ws.Eff(e.d.N())
-	}
-	return e.counterfactualsWS(ws, order, eff, cnt, order[lo:hi]), nil
 }
 
 // counterfactualsWS answers every listed object against the ranked order

@@ -170,10 +170,10 @@ func TestCounterfactualSingleMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestCounterfactualWindowMatchesBatch pins the single-ranking window
-// path: it must return exactly what CounterfactualBatch returns for the
-// boundary objects of the ranked order, clamped at the population edges.
-func TestCounterfactualWindowMatchesBatch(t *testing.T) {
+// TestBundleMarginsMatchBatch pins the audit bundle's margin window: it
+// must return exactly what CounterfactualBatch returns for the boundary
+// objects of the ranked order, clamped at the population edges.
+func TestBundleMarginsMatchBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	d := cfDataset(t, rng, 300)
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Adverse)
@@ -188,10 +188,11 @@ func TestCounterfactualWindowMatchesBatch(t *testing.T) {
 		{1, 4, 4},         // cnt=n: right side clamps to the selected tail
 		{0.5, 1000, 300},  // window wider than the population
 	} {
-		win, err := ev.CounterfactualWindow(bonus, tc.k, tc.m)
+		st, err := ev.BundleStats(BundleStatsConfig{Bonus: bonus, K: tc.k, Margins: tc.m})
 		if err != nil {
 			t.Fatalf("k=%g m=%d: %v", tc.k, tc.m, err)
 		}
+		win := st.Margins
 		if len(win) != tc.want {
 			t.Fatalf("k=%g m=%d: window has %d lines, want %d", tc.k, tc.m, len(win), tc.want)
 		}
@@ -215,7 +216,7 @@ func TestCounterfactualWindowMatchesBatch(t *testing.T) {
 			prev = win[i].Rank
 		}
 	}
-	if _, err := ev.CounterfactualWindow(bonus, 0.1, -1); err == nil {
+	if _, err := ev.BundleStats(BundleStatsConfig{Bonus: bonus, K: 0.1, Margins: -1}); err == nil {
 		t.Error("negative window size accepted")
 	}
 }

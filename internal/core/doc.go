@@ -36,10 +36,12 @@
 // ranking once and is safe for concurrent use (pooled engine workspaces).
 // Every evaluator entry point is a query on one evaluation plan
 // (batch.go): a plan validates its queries once, ranks once through
-// rankedPrefixWS (combo-run merge, bounded-heap prefix or full order),
-// and answers each query from that order — metric kinds through one
-// prefix fold and finisher each, counterfactuals, explanations and
-// audit bundles through their own readers of the same order.
+// rankedPrefixWS (ranked-order memo, combo-run merge, bounded-heap prefix
+// or full order), and answers each query from that order — metric kinds
+// through one prefix fold and finisher each, counterfactuals,
+// explanations and audit bundles through their own readers of the same
+// order. The plan leaves its order in the evaluator's one-slot memo, so
+// the next request on the same bonus vector reads it instead of ranking.
 //
 //   - Pointwise metrics (Disparity, NDCG, DisparateImpact, FPRDiff,
 //     Exposure, ExposureRatio, TopKShare) are one-query plans.

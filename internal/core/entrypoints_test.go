@@ -17,7 +17,7 @@ import (
 // Evaluator entry point that takes a bonus vector: nil answers exactly as
 // the zero vector does, a short (including empty) or long bonus is
 // rejected with the dimension error before any ranking, and nothing
-// panics. Order is the one exception: it has no error result.
+// panics.
 func TestEntryPointsBonusDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	b := dataset.NewBuilder([]string{"s"}, []string{"a", "b"})
@@ -87,11 +87,11 @@ func TestEntryPointsBonusDims(t *testing.T) {
 			return ev.CounterfactualBatch(x, k, []int{1, 2, 299})
 		},
 		"CounterfactualBatchCtx": func(x []float64) (any, error) { return ev.CounterfactualBatchCtx(ctx, x, k, []int{0}) },
-		"CounterfactualWindow":   func(x []float64) (any, error) { return ev.CounterfactualWindow(x, k, 3) },
 		"AttributeDisparity":     func(x []float64) (any, error) { return ev.AttributeDisparity(x, k) },
 		"Explain":                func(x []float64) (any, error) { return ev.Explain(x, k) },
 		"ExplainCtx":             func(x []float64) (any, error) { return ev.ExplainCtx(ctx, x, k) },
 		"FindScaleForNDCG":       func(x []float64) (any, error) { return ev.FindScaleForNDCG(x, k, 0.9, 0.5) },
+		"Order":                  func(x []float64) (any, error) { return ev.Order(x) },
 	}
 	call := func(name string, fn func([]float64) (any, error), bonus []float64) (out any, err error) {
 		defer func() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,6 @@ type Evaluator struct {
 	base     []float64
 	origOrd  []int
 	centroid []float64
-	all      []int
 	pool     sync.Pool // *engine.Workspace
 
 	// Population constants of the prefix-sweep engine: per-dimension group
@@ -55,23 +55,92 @@ type Evaluator struct {
 	// never a full-population pass.
 	rankings atomic.Int64
 	merges   atomic.Int64
+
+	// memo is the one-slot ranked-order memo shared across requests, and
+	// memoHits counts the prefix requests it answered with neither a
+	// ranking pass nor a merge.
+	memo     orderMemo
+	memoHits atomic.Int64
+}
+
+// orderMemo holds the leading positions of the most recent ranking a
+// plan's primary pass produced, keyed on the exact bits of its canonical
+// bonus. A stakeholder asks many questions of one bonus vector (a sweep
+// over k, then an audit, counterfactuals and an explanation), and the
+// ranked order answers all of them, so every later request on that
+// vector reads the order instead of ranking it again. The slot is one
+// []int32 of capacity n, allocated on the first write and reused; it is
+// always a copy, never a view of a workspace.
+type orderMemo struct {
+	mu    sync.Mutex
+	bonus []float64
+	ord   []int32
+}
+
+// readWS copies the first p positions of the ranking under bonus into
+// ws.Ord(p) when the slot holds at least that many; a miss leaves the
+// workspace alone.
+func (m *orderMemo) readWS(bonus []float64, p int, ws *engine.Workspace) ([]int, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.ord) < p || !sameBits(m.bonus, bonus) {
+		return nil, false
+	}
+	out := ws.Ord(p)
+	for i, id := range m.ord[:p] {
+		out[i] = int(id)
+	}
+	return out, true
+}
+
+// write records order, a leading segment of the ranking under bonus in a
+// population of n: it replaces the slot for a new bonus and extends it
+// when the same bonus was ranked further. Only finite bonuses are kept,
+// since their rankings are total orders whose prefixes every route
+// agrees on.
+func (m *orderMemo) write(bonus []float64, order []int, n int) {
+	for _, b := range bonus {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			return
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !sameBits(m.bonus, bonus) {
+		m.bonus = append(m.bonus[:0], bonus...)
+		m.ord = m.ord[:0]
+	}
+	if m.ord == nil {
+		m.ord = make([]int32, 0, n)
+	}
+	for _, id := range order[min(len(m.ord), len(order)):] {
+		m.ord = append(m.ord, int32(id))
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewEvaluator builds an evaluator for the dataset under the given ranking
 // function and polarity.
 func NewEvaluator(d *dataset.Dataset, scorer rank.Scorer, pol rank.Polarity) *Evaluator {
 	base := scorer.BaseScores(d)
-	all := make([]int, d.N())
-	for i := range all {
-		all[i] = i
-	}
 	e := &Evaluator{
 		d:        d,
 		pol:      pol,
 		base:     base,
 		origOrd:  rank.Order(base),
 		centroid: d.FairCentroid(),
-		all:      all,
 		groupTot: make([]int, d.NumFair()),
 	}
 	for j := range e.groupTot {
@@ -122,6 +191,15 @@ func (e *Evaluator) RankingCount() int64 { return e.rankings.Load() }
 // per-order budget of merges.
 func (e *Evaluator) MergeCount() int64 { return e.merges.Load() }
 
+// MemoHitCount reports how many prefix requests the evaluator has
+// answered from its ranked-order memo, with neither a ranking pass nor a
+// merge: the third lifetime counter beside RankingCount and MergeCount.
+func (e *Evaluator) MemoHitCount() int64 { return e.memoHits.Load() }
+
+// GroupSize returns the number of members of fairness attribute j (value
+// > 0.5), as dataset.GroupSize counts them, from the evaluator's cache.
+func (e *Evaluator) GroupSize(j int) int { return e.groupTot[j] }
+
 // RunStats reports the combo-run decomposition statistics (g, run-length
 // spread, one-time construction cost). ok is false when the partition
 // declined and every request takes the full-sort path.
@@ -160,6 +238,8 @@ func (e *Evaluator) mergeEligible(p int) bool {
 // the workspace. The route:
 //
 //   - a zero bonus reads the cached uncompensated order for free;
+//   - the ranked-order memo, when it holds the bonus to at least p
+//     positions (all n when full is set): a copy, no ranking at all;
 //   - the combo-run merge when mergeEligible(p): O(p log g) pops over the
 //     pre-sorted runs, no population-wide pass at all. merged reports this
 //     route, whose MergeScratch stays live for per-object RankOf lookups;
@@ -171,11 +251,14 @@ func (e *Evaluator) mergeEligible(p int) bool {
 //
 // The comparator is a total order, so every route's prefix is
 // bit-identical to the full sort's leading segment. Every non-zero route
-// fills ws.Eff for each id it emits. Cancellation surfaces either from the
-// merge's amortized checkpoint or from the single poll ahead of a scoring
-// pass; a non-nil error means no order was produced. The faultinject
-// rank.prefix site fires on every non-zero-bonus call, so chaos tests can
-// make each ranking pass arbitrarily slow without touching real data.
+// fills ws.Eff for each id it emits; a memo hit fills it with the term
+// route's expression, which every other route's score equals bit for bit.
+// Cancellation surfaces from the poll ahead of the memo, from the
+// merge's amortized checkpoint, or from the poll ahead of a scoring pass;
+// a non-nil error means no order was produced. The faultinject
+// rank.prefix site fires on every non-zero-bonus call, memo hits included,
+// so chaos tests can make each ranking pass arbitrarily slow without
+// touching real data. Only plan.pass writes the memo.
 func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bonus []float64, p int, full bool) (order []int, merged bool, err error) {
 	n := e.d.N()
 	if isZero(bonus) {
@@ -187,6 +270,22 @@ func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bo
 	if err := faultinject.Fire(ctx, faultinject.SiteRankPrefix); err != nil {
 		return nil, false, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	want := p
+	if full {
+		want = n
+	}
+	if ord, ok := e.memo.readWS(bonus, want, ws); ok {
+		if want == n {
+			rank.EffectiveScoresEach(e.d, e.base, bonus, e.pol, ws.Eff(n))
+		} else {
+			rank.EffectiveScoresAt(e.d, e.base, ord, bonus, e.pol, ws.Eff(n))
+		}
+		e.memoHits.Add(1)
+		return ord, false, nil
+	}
 	if e.mergeEligible(p) {
 		pre, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, p, ws.Merge(), ws.Ord(p), ws.Eff(n))
 		if err != nil {
@@ -197,12 +296,7 @@ func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bo
 			return pre, true, nil
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	// EffectiveScores over the cached identity indices takes the unrolled
-	// low-dimension dot-product fast path.
-	eff := rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, ws.Eff(n))
+	eff := rank.EffectiveScoresEach(e.d, e.base, bonus, e.pol, ws.Eff(n))
 	e.rankings.Add(1)
 	if full || p >= n/2 {
 		// Selecting most of the population saves nothing over sorting it.
@@ -218,18 +312,21 @@ func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bo
 }
 
 // Order returns the full ranking under the given bonus vector (descending
-// effective score). A nil or all-zero bonus reproduces the original
-// ranking; any other bonus must have one entry per fairness attribute
-// (Order has no error to report a mismatch with).
-func (e *Evaluator) Order(bonus []float64) []int {
-	if isZero(bonus) {
-		return e.origOrd
+// effective score) as a fresh slice. A nil or all-zero bonus reproduces
+// the original ranking; any other bonus must have one entry per fairness
+// attribute. It takes the ranking route every evaluator query takes, so
+// it reads the ranked-order memo too.
+func (e *Evaluator) Order(bonus []float64) ([]int, error) {
+	if err := e.checkBonusDims(bonus); err != nil {
+		return nil, err
 	}
 	ws := e.ws()
 	defer e.put(ws)
-	eff := rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, ws.Eff(e.d.N()))
-	e.rankings.Add(1)
-	return rank.OrderInto(eff, make([]int, e.d.N()))
+	ord, _, err := e.rankedPrefixWS(context.Background(), ws, bonus, e.d.N(), true)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(ord), nil
 }
 
 // Select returns the top-k fraction of the population under the bonus

@@ -9,18 +9,28 @@ import (
 	"fairrank/internal/rank"
 )
 
+// mustOrder is Evaluator.Order for a bonus the test knows is well formed.
+func mustOrder(t testing.TB, ev *Evaluator, bonus []float64) []int {
+	t.Helper()
+	ord, err := ev.Order(bonus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ord
+}
+
 func TestEvaluatorZeroBonusMatchesOriginal(t *testing.T) {
 	d := tinyDataset(t, 500, 11)
 	scorer := rank.WeightedSum{Weights: []float64{1}}
 	ev := NewEvaluator(d, scorer, rank.Beneficial)
-	if !reflect.DeepEqual(ev.Order(nil), ev.Order([]float64{0})) {
+	if !reflect.DeepEqual(mustOrder(t, ev, nil), mustOrder(t, ev, []float64{0})) {
 		t.Error("nil and zero bonus orders differ")
 	}
 	sel, err := ev.Select(nil, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sel, ev.Order(nil)[:len(sel)]) {
+	if !reflect.DeepEqual(sel, mustOrder(t, ev, nil)[:len(sel)]) {
 		t.Error("Select(nil) is not the prefix of the original order")
 	}
 	ndcg, err := ev.NDCG(nil, 0.1)

@@ -121,7 +121,7 @@ func TestMergeSelectDifferential(t *testing.T) {
 		{-3, 2, -1, 4},
 	}
 	for _, bonus := range bonuses {
-		full := ev.Order(bonus) // always the full-sort path
+		full := mustOrder(t, ev, bonus) // always the full-sort path
 		for _, k := range []float64{0.001, 0.05, 0.33, 0.74} {
 			cnt, err := rank.SelectCount(ev.Dataset().N(), k)
 			if err != nil {
@@ -148,7 +148,7 @@ func TestMergeSelectDifferential(t *testing.T) {
 func TestMergeNDCGDifferential(t *testing.T) {
 	ev := mergeEvaluator(t, 3000)
 	bonus := []float64{2, 11, 10.5, 12.5}
-	full := ev.Order(bonus)
+	full := mustOrder(t, ev, bonus)
 	for _, k := range []float64{0.01, 0.05, 0.5, 1} {
 		got, err := ev.NDCG(bonus, k)
 		if err != nil {

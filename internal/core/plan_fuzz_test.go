@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +17,10 @@ import (
 // on a coarse grid, mixed query kinds, k values (1/n and 1 included) and
 // 1–3 bonus groups, and checks every route through it — SweepCtx,
 // AnswerBatchCtx and the pointwise adapters — against the reference
-// evaluator (reference_test.go), bit for bit.
+// evaluator (reference_test.go), bit for bit. Every plan runs on one
+// evaluator, so later plans on a group's bonus read the ranked-order
+// memo that earlier ones left, and a closing session of 2-4 batches
+// repeats, re-extends and replaces it.
 //
 //	go test ./internal/core -run '^$' -fuzz FuzzPlan -fuzztime 20s
 func FuzzPlan(f *testing.F) {
@@ -108,7 +112,7 @@ func FuzzPlan(f *testing.F) {
 
 		// One batch per group, mixing every query kind; then the pointwise
 		// adapters on the same queries.
-		for _, bonus := range bonuses {
+		batch := func(bonus []float64) {
 			qs := make([]BatchQuery, nq)
 			for i := range qs {
 				q := BatchQuery{Kind: BatchKind(rng.Intn(int(BatchExplain) + 1)), K: randK()}
@@ -152,6 +156,20 @@ func FuzzPlan(f *testing.F) {
 					ref.checkMetric(t, "pointwise "+label, q.Kind, bonus, q.K, pointwise(ctx, ev, q.Kind, bonus, q.K))
 				}
 			}
+		}
+		for _, bonus := range bonuses {
+			batch(bonus)
+		}
+
+		// A session: 2-4 more batches on one evaluator, each on a group's
+		// bonus or a fresh copy of its bits, so the ranked-order memo is
+		// read, extended past what it holds and replaced between them.
+		for range 2 + rng.Intn(3) {
+			bonus := bonuses[rng.Intn(len(bonuses))]
+			if rng.Intn(2) == 0 {
+				bonus = slices.Clone(bonus)
+			}
+			batch(bonus)
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -103,18 +102,6 @@ func routeProbe(buf []byte, prefetched *bool) func(TraceStep) {
 			*prefetched, first = prefetching(buf), false
 		}
 	}
-}
-
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestPrefetchedScheduleMatchesInline trains every seed twice on one

@@ -12,7 +12,8 @@ import (
 // k-grid over one trained-shaped bonus vector on the 80k synthetic school
 // cohort. Each op is one whole sweep — one full-population ranking plus 16
 // prefix evaluations — so ns/op here is directly comparable to the
-// serve-level BenchmarkServeEvaluateSweep minus HTTP. These names are
+// serve-level BenchmarkServeEvaluateSweep minus HTTP. Each op empties the
+// ranked-order memo first, so every op ranks its bonus cold. These names are
 // guarded against regression by cmd/benchguard in CI (reference:
 // BENCH_sweep.json).
 
@@ -51,6 +52,7 @@ func BenchmarkDisparitySweep16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ev.forgetOrders()
 		if _, err := ev.DisparitySweep(pts); err != nil {
 			b.Fatal(err)
 		}
@@ -62,6 +64,7 @@ func BenchmarkNDCGSweep16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ev.forgetOrders()
 		if _, err := ev.NDCGSweep(pts); err != nil {
 			b.Fatal(err)
 		}
@@ -73,6 +76,7 @@ func BenchmarkDisparateImpactSweep16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ev.forgetOrders()
 		if _, err := ev.DisparateImpactSweep(pts); err != nil {
 			b.Fatal(err)
 		}
@@ -92,6 +96,7 @@ func BenchmarkDisparitySweepFullK(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ev.forgetOrders()
 		if _, err := ev.DisparitySweep(full); err != nil {
 			b.Fatal(err)
 		}

@@ -36,11 +36,19 @@ func Exposure(env *Env) (Renderable, error) {
 	for j := range allCols {
 		allCols[j] = j
 	}
-	before, err := metrics.DDP(testView, ev.Order(nil), allCols)
+	baseOrder, err := ev.Order(nil)
 	if err != nil {
 		return nil, err
 	}
-	after, err := metrics.DDP(testView, ev.Order(res.Bonus), allCols)
+	before, err := metrics.DDP(testView, baseOrder, allCols)
+	if err != nil {
+		return nil, err
+	}
+	order, err := ev.Order(res.Bonus)
+	if err != nil {
+		return nil, err
+	}
+	after, err := metrics.DDP(testView, order, allCols)
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,10 @@ func Fig6(env *Env) (Renderable, error) {
 		Title: fmt.Sprintf("Figure 6: single-quota baseline across k (reserve=%.2f, test cohort)", reserve),
 		XName: "k", X: env.Cfg.KSweep,
 	}
-	origOrder := testEval.Order(nil) // cached: one ranking for every k
+	origOrder, err := testEval.Order(nil) // cached: one ranking for every k
+	if err != nil {
+		return nil, err
+	}
 	series := make([][]float64, len(names)+1)
 	for _, k := range env.Cfg.KSweep {
 		sel, err := q.SelectOrdered(test, origOrder, k)
@@ -110,7 +113,10 @@ func Fig7(env *Env) (Renderable, error) {
 	}
 	types := cellTypes(train, schoolBinaryCols)
 	nCells := 1 << len(schoolBinaryCols)
-	origOrder := trainEval.Order(nil)
+	origOrder, err := trainEval.Order(nil)
+	if err != nil {
+		return nil, err
+	}
 	base := trainEval.BaseScores()
 	tau, err := rank.SelectCount(train.N(), k)
 	if err != nil {

@@ -23,8 +23,14 @@ func AblationReferee(env *Env) (Renderable, error) {
 	}
 	test := testEval.Dataset()
 	ys := metrics.YangStoyanovich{Points: metrics.DefaultPoints(0.1, 1)}
-	before := testEval.Order(nil)
-	after := testEval.Order(res.Bonus)
+	before, err := testEval.Order(nil)
+	if err != nil {
+		return nil, err
+	}
+	after, err := testEval.Order(res.Bonus)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &report.Table{
 		Title:   "Ablation: external referees (Yang & Stoyanovich rND/rKL/rRD), test cohort",

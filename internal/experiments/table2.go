@@ -75,7 +75,10 @@ func Table2(env *Env) (Renderable, error) {
 	}
 	fa := baselines.FAStarIR{Proportions: props, Alpha: alpha}
 
-	origOrder := ev.Order(nil)
+	origOrder, err := ev.Order(nil)
+	if err != nil {
+		return nil, err
+	}
 	groupsInOrder := make([]int, len(origOrder))
 	for pos, obj := range origOrder {
 		groupsInOrder[pos] = groups[obj]

@@ -22,8 +22,9 @@ const (
 	// slot is claimed; an injected error simulates pool exhaustion.
 	SiteTrainerAcquire = "trainer.acquire"
 	// SiteRankPrefix fires inside Evaluator.rankedPrefixWS on the
-	// non-zero-bonus path; an injected delay simulates a slow ranking
-	// pass under every sweep, bundle, and counterfactual workload.
+	// non-zero-bonus path, ranked-order memo hits included; an injected
+	// delay simulates a slow ranking pass under every sweep, bundle, and
+	// counterfactual workload.
 	SiteRankPrefix = "rank.prefix"
 	// SiteBatcherFlush fires at the head of a micro-batch flush, before
 	// the shared pass runs: an injected error fails every member with it,

@@ -172,6 +172,25 @@ func PrefixDCGInto(gains []float64, order []int, cuts []int, dst []float64) []fl
 	return dst
 }
 
+// PrefixDCGPairInto is PrefixDCGInto over two orders at once, with one
+// Log2 per position: dstA receives the DCG values of a and dstB those of
+// b. Each sum divides by the same divisor and adds in the same order as
+// PrefixDCGInto's, so both are bit-identical to it. The nDCG fold runs
+// the compensated order and the ideal one through it.
+func PrefixDCGPairInto(gains []float64, a, b []int, cuts []int, dstA, dstB []float64) {
+	var sa, sb float64
+	prev := 0
+	for c, cut := range cuts {
+		for i := prev; i < cut; i++ {
+			w := math.Log2(float64(i) + 2)
+			sa += gains[a[i]] / w
+			sb += gains[b[i]] / w
+		}
+		dstA[c], dstB[c] = sa, sb
+		prev = cut
+	}
+}
+
 // PrefixCount converts a selection fraction in (0, 1] into a prefix length
 // over n objects — round-half-up, clamped to [1, n] — the cut-point
 // arithmetic shared by every fraction-addressed metric in this package.

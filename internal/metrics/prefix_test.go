@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fairrank/internal/dataset"
@@ -105,6 +107,27 @@ func TestPrefixDCGBitIdentical(t *testing.T) {
 		want := DCG(gains, order, cut)
 		if got[c] != want {
 			t.Errorf("cut %d: prefix DCG %v != DCG %v (not bit-identical)", cut, got[c], want)
+		}
+	}
+}
+
+// TestPrefixDCGPairBitIdentical pins the fused two-order fold to
+// PrefixDCG on each order alone: the base order and its reverse.
+func TestPrefixDCGPairBitIdentical(t *testing.T) {
+	d, order := prefixTestDataset(t, 500, 4)
+	gains := make([]float64, d.N())
+	for i := range gains {
+		gains[i] = d.Score(i, 0)
+	}
+	rev := slices.Clone(order)
+	slices.Reverse(rev)
+	cuts := []int{1, 3, 99, 100, 101, 499, 500}
+	gotA, gotB := make([]float64, len(cuts)), make([]float64, len(cuts))
+	PrefixDCGPairInto(gains, rev, order, cuts, gotA, gotB)
+	wantA, wantB := PrefixDCG(gains, rev, cuts), PrefixDCG(gains, order, cuts)
+	for c, cut := range cuts {
+		if math.Float64bits(gotA[c]) != math.Float64bits(wantA[c]) || math.Float64bits(gotB[c]) != math.Float64bits(wantB[c]) {
+			t.Errorf("cut %d: pair DCG (%v, %v) != PrefixDCG (%v, %v)", cut, gotA[c], gotB[c], wantA[c], wantB[c])
 		}
 	}
 }

@@ -169,12 +169,76 @@ func termRoute(m, g int) bool { return m > 3*g }
 // base[i] plus its combo's term.
 func effectiveFromTerms(comboOf []int32, reps []float64, dims int, base []float64, idx []int, bonus []float64, sign float64, dst []float64) {
 	var terms [dataset.MaxCombos]float64
-	t := terms[:len(reps)/dims]
+	t := comboTerms(reps, dims, bonus, sign, terms[:])
+	for r, i := range idx {
+		dst[r] = base[i] + t[comboOf[i]]
+	}
+}
+
+// comboTerms fills buf with bonusTerm of every combo row and returns the
+// filled prefix, one term per combo.
+func comboTerms(reps []float64, dims int, bonus []float64, sign float64, buf []float64) []float64 {
+	t := buf[:len(reps)/dims]
 	for c := range t {
 		t[c] = bonusTerm(reps[c*dims:(c+1)*dims], bonus, sign)
 	}
-	for r, i := range idx {
-		dst[r] = base[i] + t[comboOf[i]]
+	return t
+}
+
+// effChunk is how many ids EffectiveScoresEach and EffectiveScoresAt hand
+// to EffectiveScores at a time when the dataset has no combo-row index.
+const effChunk = 256
+
+// EffectiveScoresEach is EffectiveScores over every object in id order,
+// without an identity index slice: dst (length d.N(), allocated when nil)
+// receives object i's effective score at dst[i], bit-identical to
+// EffectiveScores(d, base, [0 1 … n-1], bonus, pol, dst). With a combo-row
+// index it is the term route over the whole population; otherwise
+// EffectiveScores scores consecutive id chunks.
+func EffectiveScoresEach(d *dataset.Dataset, base, bonus []float64, pol Polarity, dst []float64) []float64 {
+	n := d.N()
+	if dst == nil {
+		dst = make([]float64, n)
+	}
+	if comboOf, reps, ok := d.ComboIndex(); ok && d.NumFair() > 0 {
+		var terms [dataset.MaxCombos]float64
+		t := comboTerms(reps, d.NumFair(), bonus, pol.Sign(), terms[:])
+		for i, c := range comboOf {
+			dst[i] = base[i] + t[c]
+		}
+		return dst
+	}
+	var ids [effChunk]int
+	for lo := 0; lo < n; lo += effChunk {
+		chunk := ids[:min(effChunk, n-lo)]
+		for r := range chunk {
+			chunk[r] = lo + r
+		}
+		EffectiveScores(d, base, chunk, bonus, pol, dst[lo:])
+	}
+	return dst
+}
+
+// EffectiveScoresAt writes the effective score of every object listed in
+// ids to dst[id] (dst has length d.N()), bit-identical to what
+// EffectiveScores computes for it, and leaves every other entry alone.
+// With a combo-row index each object costs one add to its combo's term.
+func EffectiveScoresAt(d *dataset.Dataset, base []float64, ids []int, bonus []float64, pol Polarity, dst []float64) {
+	if comboOf, reps, ok := d.ComboIndex(); ok && d.NumFair() > 0 {
+		var terms [dataset.MaxCombos]float64
+		t := comboTerms(reps, d.NumFair(), bonus, pol.Sign(), terms[:])
+		for _, i := range ids {
+			dst[i] = base[i] + t[comboOf[i]]
+		}
+		return
+	}
+	var eff [effChunk]float64
+	for lo := 0; lo < len(ids); lo += effChunk {
+		chunk := ids[lo:min(lo+effChunk, len(ids))]
+		EffectiveScores(d, base, chunk, bonus, pol, eff[:len(chunk)])
+		for r, i := range chunk {
+			dst[i] = eff[r]
+		}
 	}
 }
 
@@ -215,7 +279,10 @@ func effectiveFromCombos(comboOf []int32, reps []float64, dims int, base []float
 }
 
 // EffectiveScoresAll is EffectiveScores over the entire dataset, writing
-// into dst (allocated when nil) and returning it.
+// into dst (allocated when nil) and returning it. It reads the columns
+// through FairDot, with no combo-row index and no unrolling, which makes
+// it the independent reference the differential tests rank by;
+// EffectiveScoresEach is the fast form.
 func EffectiveScoresAll(d *dataset.Dataset, base, bonus []float64, pol Polarity, dst []float64) []float64 {
 	n := d.N()
 	if dst == nil {

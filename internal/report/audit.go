@@ -278,7 +278,7 @@ func FromStats(ev *core.Evaluator, dataset string, st *core.BundleStats) *Bundle
 		b.Policy[j] = PolicyLine{
 			Attribute:       st.FairNames[j],
 			Points:          st.Bonus[j],
-			GroupSize:       d.GroupSize(j),
+			GroupSize:       ev.GroupSize(j),
 			SelectedWith:    st.GroupCounts[j],
 			SelectedWithout: st.BaseGroupCounts[j],
 			LeaveOneOutNorm: st.LeaveOneOut[j],

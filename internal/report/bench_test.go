@@ -49,9 +49,17 @@ func BenchmarkBuildBundle80k(b *testing.B) {
 		Bonus:   []float64{2, 11, 10.5, 12.5}, // the shape a trained vector takes on this cohort
 		K:       0.05,
 	}
+	evict := []float64{1, 1, 1, 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A plan on another vector replaces the evaluator's ranked-order
+		// memo, so every op ranks its bonus cold.
+		b.StopTimer()
+		if _, err := ev.Disparity(evict, 0.001); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		if _, err := BuildBundle(ev, cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -78,7 +78,11 @@ func pointwiseBundle(t testing.TB, ev *core.Evaluator, cfg BundleConfig) *Bundle
 	if hi > d.N() {
 		hi = d.N()
 	}
-	window := append([]int(nil), ev.Order(cfg.Bonus)[lo:hi]...)
+	order, err := ev.Order(cfg.Bonus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := order[lo:hi]
 	cfs, err := ev.CounterfactualBatch(cfg.Bonus, cfg.K, window)
 	if err != nil {
 		t.Fatal(err)

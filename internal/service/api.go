@@ -495,11 +495,13 @@ type RankStatsInfo struct {
 	// cohort into runs dealt from the evaluator's cached base order, in
 	// microseconds.
 	BuildMicros int64 `json:"build_us"`
-	// MergeCount and RankingCount are the evaluator's lifetime counters:
-	// prefix requests answered by the g-way merge vs full-population
-	// ranking passes.
+	// MergeCount, RankingCount and MemoHits are the evaluator's lifetime
+	// counters: prefix requests answered by the g-way merge, by a
+	// full-population ranking pass, and by the ranked-order memo (a
+	// bonus vector an earlier request had already ranked far enough).
 	MergeCount   int64 `json:"merge_count"`
 	RankingCount int64 `json:"ranking_count"`
+	MemoHits     int64 `json:"memo_hits"`
 	// BatchFlushes counts this dataset's micro-batch flushes and
 	// BatchedRequests the member requests they served; their ratio is the
 	// coalesce factor. Both stay zero with micro-batching disabled.

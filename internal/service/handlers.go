@@ -777,6 +777,7 @@ func rankStatsInfo(e *Entry) *RankStatsInfo {
 		BuildMicros:     st.BuildCost.Microseconds(),
 		MergeCount:      e.eval.MergeCount(),
 		RankingCount:    e.eval.RankingCount(),
+		MemoHits:        e.eval.MemoHitCount(),
 		BatchFlushes:    e.batchFlushes.Load(),
 		BatchedRequests: e.batchedRequests.Load(),
 	}

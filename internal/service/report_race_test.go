@@ -37,7 +37,11 @@ func TestReportCounterfactualSharedBundleStats(t *testing.T) {
 	// The margin window at k=0.05 over 2500 objects spans ranks 121..128;
 	// ask for those same boundary objects through /v1/counterfactual.
 	e, _ := s.reg.Get("school")
-	window := e.eval.Order(bonusVec)[121:129]
+	order, err := e.eval.Order(bonusVec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := order[121:129]
 	var cf CounterfactualResponse
 	code, body := postJSON(t, ts.URL+"/v1/counterfactual",
 		CounterfactualRequest{Dataset: "school", Bonus: bonusVec, K: 0.05, Objects: window}, &cf)

@@ -138,6 +138,26 @@ func TestHealthAndDatasets(t *testing.T) {
 	if _, ok := s.RankStats("nope"); ok {
 		t.Error("RankStats on an unknown dataset reported ok")
 	}
+
+	// A sweep of one bonus vector, then its explanation: the explanation
+	// reads the order the sweep left in the evaluator's memo, and the
+	// listing counts the hit.
+	bonus := []float64{2, 10.5, 9, 12}
+	var er EvaluateResponse
+	if code, body := postJSON(t, ts.URL+"/v1/evaluate", EvaluateRequest{Dataset: "school", Metric: "disparity",
+		Points: []SweepPointRequest{{Bonus: bonus, K: 0.5}}}, &er); code != 200 {
+		t.Fatalf("evaluate: %d %s", code, body)
+	}
+	var ex ExplainResponse
+	if code, body := getJSON(t, ts.URL+"/v1/explain?dataset=school&k=0.05&bonus=2,10.5,9,12", &ex); code != 200 {
+		t.Fatalf("explain: %d %s", code, body)
+	}
+	if code, body := getJSON(t, ts.URL+"/v1/datasets", &ds); code != 200 {
+		t.Fatalf("datasets: %d %s", code, body)
+	}
+	if rs := ds[0].RankStats; rs.MemoHits != 1 {
+		t.Errorf("school memo_hits = %d after a sweep and an explanation of one bonus, want 1", rs.MemoHits)
+	}
 }
 
 // TestTrainBitIdenticalToLibrary pins the service's central contract: a

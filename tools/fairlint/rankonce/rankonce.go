@@ -2,8 +2,8 @@
 // engine packages must not sort or heap-select cohort-sized score data
 // themselves. Every evaluator ranking flows through the single
 // Evaluator.rankedPrefixWS route of the evaluation plan (internal/rank
-// does the actual sorting; only the evaluator's cached base order,
-// Evaluator.Order and the trainer objectives call it elsewhere), so
+// does the actual sorting; only the evaluator's cached base order and the
+// trainer objectives call it elsewhere), so
 // sweeps, pointwise metrics, bundles, explanations and counterfactuals
 // provably share ranked passes — the property the reference
 // differentials and the ranking-count budget assertions pin.
