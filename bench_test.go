@@ -158,16 +158,16 @@ func BenchmarkWhatIfSession80k(b *testing.B) {
 		for j := range pts {
 			pts[j] = fairrank.SweepPoint{Bonus: bonus, K: float64(j+1) / 64}
 		}
-		if _, err := ev.DisparitySweep(pts); err != nil {
+		if _, err := ev.DisparitySweepCtx(context.Background(), pts); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := fairrank.BuildAuditBundle(ev, fairrank.AuditConfig{Dataset: "school", Bonus: bonus, K: 0.05}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ev.CounterfactualBatch(bonus, 0.05, objs); err != nil {
+		if _, err := ev.CounterfactualBatchCtx(context.Background(), bonus, 0.05, objs); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ev.Explain(bonus, 0.05); err != nil {
+		if _, err := ev.ExplainCtx(context.Background(), bonus, 0.05); err != nil {
 			b.Fatal(err)
 		}
 	}

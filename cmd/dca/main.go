@@ -45,6 +45,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -197,15 +198,15 @@ func main() {
 		return
 	}
 
-	before, err := ev.Disparity(nil, *k)
+	before, err := ev.DisparityCtx(context.Background(), nil, *k)
 	if err != nil {
 		fatal(err)
 	}
-	after, err := ev.Disparity(res.Bonus, *k)
+	after, err := ev.DisparityCtx(context.Background(), res.Bonus, *k)
 	if err != nil {
 		fatal(err)
 	}
-	ndcg, err := ev.NDCG(res.Bonus, *k)
+	ndcg, err := ev.NDCGCtx(context.Background(), res.Bonus, *k)
 	if err != nil {
 		fatal(err)
 	}
@@ -227,7 +228,7 @@ func main() {
 	fmt.Printf("\nnDCG@%g = %s (1 = ranking unchanged)\n", *k, report.Float(ndcg))
 
 	if *explain {
-		exp, err := ev.Explain(res.Bonus, *k)
+		exp, err := ev.ExplainCtx(context.Background(), res.Bonus, *k)
 		if err != nil {
 			fatal(err)
 		}
@@ -239,7 +240,7 @@ func main() {
 	}
 
 	if cfObjs != nil {
-		cfs, err := ev.CounterfactualBatch(res.Bonus, *k, cfObjs)
+		cfs, err := ev.CounterfactualBatchCtx(context.Background(), res.Bonus, *k, cfObjs)
 		if err != nil {
 			fatal(err)
 		}
@@ -269,11 +270,11 @@ func main() {
 			fatal(err)
 		}
 		testEv := fairrank.NewEvaluator(testD, scorer, pol)
-		tb, err := testEv.Disparity(nil, *k)
+		tb, err := testEv.DisparityCtx(context.Background(), nil, *k)
 		if err != nil {
 			fatal(err)
 		}
-		ta, err := testEv.Disparity(res.Bonus, *k)
+		ta, err := testEv.DisparityCtx(context.Background(), res.Bonus, *k)
 		if err != nil {
 			fatal(err)
 		}
@@ -393,7 +394,7 @@ func writeSweepCSV(d *fairrank.Dataset, ev *fairrank.Evaluator, bonus []float64,
 			qs = append(qs, core.BatchQuery{Kind: kind, K: k})
 		}
 	}
-	answers, err := ev.AnswerBatch(bonus, qs)
+	answers, err := ev.AnswerBatchCtx(context.Background(), bonus, qs)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package fairrank_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -32,8 +33,9 @@ func ExampleTrain() {
 		panic(err)
 	}
 	ev := fairrank.NewEvaluator(d, scorer, fairrank.Beneficial)
-	before, _ := ev.Disparity(nil, 0.1)
-	after, _ := ev.Disparity(res.Bonus, 0.1)
+	ctx := context.Background()
+	before, _ := ev.DisparityCtx(ctx, nil, 0.1)
+	after, _ := ev.DisparityCtx(ctx, res.Bonus, 0.1)
 	fmt.Printf("bonus recovers the penalty: %t\n", res.Bonus[0] >= 3.5 && res.Bonus[0] <= 6.5)
 	fmt.Printf("disparity reduced: %t\n", fairrank.Norm(after) < fairrank.Norm(before)/3)
 	// Output:
@@ -56,13 +58,14 @@ func ExampleNewEvaluator() {
 	d, _ := b.Build()
 	scorer := fairrank.WeightedSum{Weights: []float64{1}}
 	ev := fairrank.NewEvaluator(d, scorer, fairrank.Beneficial)
+	ctx := context.Background()
 
 	full := []float64{5}
 	half := fairrank.ScaleBonus(full, 0.5, 0.5)
-	nFull, _ := ev.Disparity(full, 0.1)
-	nHalf, _ := ev.Disparity(half, 0.1)
-	uFull, _ := ev.NDCG(full, 0.1)
-	uHalf, _ := ev.NDCG(half, 0.1)
+	nFull, _ := ev.DisparityCtx(ctx, full, 0.1)
+	nHalf, _ := ev.DisparityCtx(ctx, half, 0.1)
+	uFull, _ := ev.NDCGCtx(ctx, full, 0.1)
+	uHalf, _ := ev.NDCGCtx(ctx, half, 0.1)
 	fmt.Printf("half bonus leaves more disparity: %t\n", fairrank.Norm(nHalf) > fairrank.Norm(nFull))
 	fmt.Printf("half bonus keeps more utility: %t\n", uHalf > uFull)
 	// Output:
@@ -89,22 +92,23 @@ func exampleCohort() *fairrank.Dataset {
 	return d
 }
 
-// ExampleEvaluator_DisparitySweep shows the sweep engine: points sharing
+// ExampleEvaluator_DisparitySweepCtx shows the sweep engine: points sharing
 // a bonus vector are ranked once, and every selection fraction is
 // answered from prefix aggregates of that single ranking.
-func ExampleEvaluator_DisparitySweep() {
+func ExampleEvaluator_DisparitySweepCtx() {
 	d := exampleCohort()
 	ev := fairrank.NewEvaluator(d, fairrank.WeightedSum{Weights: []float64{1}}, fairrank.Beneficial)
+	ctx := context.Background()
 
 	bonus := []float64{5}
 	points := []fairrank.SweepPoint{
 		{Bonus: bonus, K: 0.05}, {Bonus: bonus, K: 0.1}, {Bonus: bonus, K: 0.2},
 	}
-	disps, err := ev.DisparitySweep(points) // one ranking, three answers
+	disps, err := ev.DisparitySweepCtx(ctx, points) // one ranking, three answers
 	if err != nil {
 		panic(err)
 	}
-	base, _ := ev.Disparity(nil, 0.1)
+	base, _ := ev.DisparityCtx(ctx, nil, 0.1)
 	fmt.Printf("compensation shrinks disparity at every k: %t\n",
 		math.Abs(disps[0][0]) < math.Abs(base[0]) &&
 			math.Abs(disps[1][0]) < math.Abs(base[0]) &&
@@ -113,14 +117,15 @@ func ExampleEvaluator_DisparitySweep() {
 	// compensation shrinks disparity at every k: true
 }
 
-// ExampleEvaluator_Explain publishes the transparency report of a bonus
+// ExampleEvaluator_ExplainCtx publishes the transparency report of a bonus
 // policy: the cutoff any applicant can compare their score against, and
 // the per-group selection counts.
-func ExampleEvaluator_Explain() {
+func ExampleEvaluator_ExplainCtx() {
 	d := exampleCohort()
 	ev := fairrank.NewEvaluator(d, fairrank.WeightedSum{Weights: []float64{1}}, fairrank.Beneficial)
+	ctx := context.Background()
 
-	exp, err := ev.Explain([]float64{5}, 0.1)
+	exp, err := ev.ExplainCtx(ctx, []float64{5}, 0.1)
 	if err != nil {
 		panic(err)
 	}
@@ -135,26 +140,28 @@ func ExampleEvaluator_Explain() {
 	// protected members selected: 68 (was 41)
 }
 
-// ExampleEvaluator_Counterfactual asks the audit question: what is the
-// smallest change that flips an object's selection? The returned delta is
-// minimal at float64 resolution — applying it flips, anything smaller
-// does not.
-func ExampleEvaluator_Counterfactual() {
+// ExampleEvaluator_CounterfactualBatchCtx asks the audit question: what
+// is the smallest change that flips an object's selection? The returned
+// delta is minimal at float64 resolution — applying it flips, anything
+// smaller does not.
+func ExampleEvaluator_CounterfactualBatchCtx() {
 	d := exampleCohort()
 	ev := fairrank.NewEvaluator(d, fairrank.WeightedSum{Weights: []float64{1}}, fairrank.Beneficial)
+	ctx := context.Background()
 
 	bonus := []float64{5}
 	order, err := ev.Order(bonus)
 	if err != nil {
 		panic(err)
 	}
-	sel, _ := ev.Select(bonus, 0.1)
+	sel, _ := ev.SelectCtx(ctx, bonus, 0.1)
 	first := order[len(sel)] // best-ranked excluded object
 
-	cf, err := ev.Counterfactual(bonus, 0.1, first)
+	cfs, err := ev.CounterfactualBatchCtx(ctx, bonus, 0.1, []int{first})
 	if err != nil {
 		panic(err)
 	}
+	cf := cfs[0]
 	fmt.Printf("selected: %t, rank %d\n", cf.Selected, cf.Rank)
 	fmt.Printf("needs a positive score delta to enter: %t\n", cf.ScoreDelta > 0)
 	fmt.Printf("delta is within one ranking step of the cutoff: %t\n",

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := fairrank.DefaultSchoolConfig()
 	cfg.N = 40000
 	d, err := fairrank.GenerateSchool(cfg)
@@ -35,11 +37,11 @@ func main() {
 	fmt.Printf("%10s %16s %8s\n", "proportion", "disparity-norm", "nDCG")
 	for w := 0.0; w <= 1.0001; w += 0.125 {
 		scaled := fairrank.ScaleBonus(res.Bonus, w, 0.5)
-		disp, err := ev.Disparity(scaled, k)
+		disp, err := ev.DisparityCtx(ctx, scaled, k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ndcg, err := ev.NDCG(scaled, k)
+		ndcg, err := ev.NDCGCtx(ctx, scaled, k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,11 +55,11 @@ func main() {
 		log.Fatal(err)
 	}
 	scaled := fairrank.ScaleBonus(res.Bonus, w, 0.5)
-	disp, err := ev.Disparity(scaled, k)
+	disp, err := ev.DisparityCtx(ctx, scaled, k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ndcg, err := ev.NDCG(scaled, k)
+	ndcg, err := ev.NDCGCtx(ctx, scaled, k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -13,6 +14,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A toy hiring pool: 5,000 candidates scored by a skills assessment
 	// (0-100). Candidates from an under-resourced background ("first-gen",
 	// 30% of the pool) score 8 points lower on average for reasons
@@ -36,7 +39,7 @@ func main() {
 	const k = 0.10 // we interview the top 10%
 
 	ev := fairrank.NewEvaluator(d, scorer, fairrank.Beneficial)
-	before, err := ev.Disparity(nil, k)
+	before, err := ev.DisparityCtx(ctx, nil, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,11 +55,11 @@ func main() {
 	}
 	fmt.Printf("trained bonus: %.1f points for first-gen candidates (in %s)\n", res.Bonus[0], res.Elapsed)
 
-	after, err := ev.Disparity(res.Bonus, k)
+	after, err := ev.DisparityCtx(ctx, res.Bonus, k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ndcg, err := ev.NDCG(res.Bonus, k)
+	ndcg, err := ev.NDCGCtx(ctx, res.Bonus, k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	d, err := fairrank.GenerateCompas(fairrank.DefaultCompasConfig())
 	if err != nil {
 		log.Fatal(err)
@@ -26,7 +28,7 @@ func main() {
 	ev := fairrank.NewEvaluator(d, scorer, fairrank.Adverse)
 	names := d.FairNames()
 
-	disp, err := ev.Disparity(nil, k)
+	disp, err := ev.DisparityCtx(ctx, nil, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := ev.Disparity(res.Bonus, k)
+	after, err := ev.DisparityCtx(ctx, res.Bonus, k)
 	if err != nil {
 		log.Fatal(err)
 	}

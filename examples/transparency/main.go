@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := fairrank.DefaultSchoolConfig()
 	cfg.N = 40000
 	d, err := fairrank.GenerateSchool(cfg)
@@ -39,7 +41,7 @@ func main() {
 	}
 
 	ev := fairrank.NewEvaluator(d, scorer, fairrank.Beneficial)
-	exp, err := ev.Explain(ens.Bonus, k)
+	exp, err := ev.ExplainCtx(ctx, ens.Bonus, k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,9 @@
 //
 // Hold a Trainer to reuse the workspace across repeated runs on the same
 // dataset (the interactive what-if loop); one-shot calls can keep using
-// Train/TrainCore/TrainFull.
+// Train/TrainCore/TrainFull. Trainer and Evaluator methods take a
+// context.Context first (TrainCtx, DisparityCtx, DisparitySweepCtx, ...);
+// pass context.Background() where nothing cancels.
 //
 // # Quick start
 //
@@ -55,6 +57,7 @@
 package fairrank
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -146,7 +149,8 @@ type Trainer = core.Trainer
 func NewTrainer(d *Dataset, scorer Scorer) *Trainer { return core.NewTrainer(d, scorer) }
 
 // SweepPoint is one (bonus vector, selection fraction) evaluation of an
-// Evaluator sweep; the sweep methods fan points over a worker pool.
+// Evaluator sweep (DisparitySweepCtx, NDCGSweepCtx, SweepCtx, ...); the
+// sweep methods fan points over a worker pool.
 type SweepPoint = core.SweepPoint
 
 // Train runs the full DCA pipeline (Algorithm 1, Algorithm 2, rounding)
@@ -229,8 +233,8 @@ type ObjectExplanation = core.ObjectExplanation
 // Counterfactual is one object's answer to "what is the smallest change
 // that flips my selection?": its standing against the published cutoff
 // and the minimal score/bonus-point deltas, exact at float64 resolution.
-// Compute one with Evaluator.Counterfactual, or many from a single
-// ranking with Evaluator.CounterfactualBatch.
+// Compute them from a single ranking with
+// Evaluator.CounterfactualBatchCtx, one or many objects at a time.
 type Counterfactual = core.Counterfactual
 
 // DisparityAttribution is the group-level leave-one-attribute-out
@@ -256,7 +260,7 @@ const AuditBundleVersion = report.BundleVersion
 // missing or all-zero policies, and FPR requests without outcomes — an
 // audit must have something real to audit.
 func BuildAuditBundle(ev *Evaluator, cfg AuditConfig) (*AuditBundle, error) {
-	return report.BuildBundle(ev, cfg)
+	return report.BuildBundleCtx(context.Background(), ev, cfg)
 }
 
 // EnsembleResult aggregates DCA runs across independent seeds.

@@ -40,11 +40,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := fairrank.NewEvaluator(d, scorer, fairrank.Beneficial)
-	before, err := ev.Disparity(nil, k)
+	before, err := ev.DisparityCtx(t.Context(), nil, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ev.Disparity(res.Bonus, k)
+	after, err := ev.DisparityCtx(t.Context(), res.Bonus, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// The transparency report is consistent.
-	exp, err := ev.Explain(res.Bonus, k)
+	exp, err := ev.ExplainCtx(t.Context(), res.Bonus, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ import (
 //     bonus, fanned out beside the primary pass and shared by every bundle
 //     of the plan.
 //
-// AnswerBatch exposes the plan directly: the service micro-batcher
+// AnswerBatchCtx exposes the plan directly: the service micro-batcher
 // collects heterogeneous (k, ids, metric) queries behind one window and
 // one plan answers them all.
 
@@ -57,7 +57,7 @@ const (
 	// BatchCounterfactual asks for the minimal flip deltas of Objects at
 	// fraction K.
 	BatchCounterfactual
-	// BatchBundle asks for a full BundleStats audit pass; Bundle carries
+	// BatchBundle asks for a full BundleStatsCtx audit pass; Bundle carries
 	// the config, whose bonus must canonically equal the batch's.
 	BatchBundle
 	// BatchExposure asks for the per-capita exposure vector of the top-K
@@ -135,7 +135,7 @@ type plan struct {
 }
 
 // queryError is one query's validation failure. Error words it as
-// AnswerBatch reports it, locating the query; the cause is what the
+// AnswerBatchCtx reports it, locating the query; the cause is what the
 // single-query entry points have always returned.
 type queryError struct {
 	msg   string
@@ -294,12 +294,6 @@ func (p *plan) add(i int, g batchGeom) {
 	p.geom[i] = g
 	p.maxCut = max(p.maxCut, g.cut)
 	p.full = p.full || p.qs[i].Kind == BatchCounterfactual
-}
-
-// AnswerBatch answers every query from one shared ranked pass under the
-// bonus vector. See AnswerBatchCtx.
-func (e *Evaluator) AnswerBatch(bonus []float64, qs []BatchQuery) ([]BatchAnswer, error) {
-	return e.AnswerBatchCtx(context.Background(), bonus, qs)
 }
 
 // AnswerBatchCtx validates every query up front (a batch-wide error, so
@@ -471,11 +465,7 @@ func (p *plan) pass(ctx context.Context, ws *engine.Workspace) error {
 			// A merged pass answers objects through the per-run rank
 			// lookups (the scratch retains the merge offsets); the full
 			// order answers them by inverting the permutation.
-			if !merged {
-				p.ans[i].Counterfactuals = e.counterfactualsWS(ws, order, eff, g.cnt, q.Objects)
-				continue
-			}
-			cfs, ok := e.counterfactualsMergeWS(ws, order, p.bonus, g.cnt, q.Objects)
+			cfs, ok := e.counterfactualsWS(ws, order, eff, p.bonus, merged, g.cnt, q.Objects)
 			if !ok {
 				return fmt.Errorf("core: batch rank lookup failed after a validated merge")
 			}
@@ -581,7 +571,7 @@ func (e *Evaluator) foldOne(ws *engine.Workspace, ord []int, kind BatchKind, cut
 }
 
 // selectionWS reads the published-selection quantities that Explanation
-// and BundleStats share off a plan's order: the cutoffs of the policy's
+// and BundleStatsCtx share off a plan's order: the cutoffs of the policy's
 // and of the uncompensated top cnt, the per-group counts of both (into
 // groups and baseGroups), and the objects the bonus admitted and
 // displaced, ascending.

@@ -98,7 +98,7 @@ func TestAnswerBatchBitIdenticalToPointwise(t *testing.T) {
 			qs := randomBatch(rng, d.N(), bonus)
 
 			r0, m0 := ev.RankingCount(), ev.MergeCount()
-			answers, err := ev.AnswerBatch(bonus, qs)
+			answers, err := ev.AnswerBatchCtx(t.Context(), bonus, qs)
 			if err != nil {
 				t.Fatalf("trial %d (polarity %v): AnswerBatch: %v", trial, pol, err)
 			}
@@ -126,7 +126,7 @@ func TestAnswerBatchBitIdenticalToPointwise(t *testing.T) {
 				}
 				switch q.Kind {
 				case BatchDisparity:
-					want, err := ev.Disparity(bonus, q.K)
+					want, err := ev.DisparityCtx(t.Context(), bonus, q.K)
 					if err != nil || a.Err != nil {
 						t.Fatalf("query %d disparity errs: batch %v, pointwise %v", i, a.Err, err)
 					}
@@ -134,7 +134,7 @@ func TestAnswerBatchBitIdenticalToPointwise(t *testing.T) {
 						t.Errorf("query %d (k=%g): batch disparity %v != pointwise %v", i, q.K, a.Vector, want)
 					}
 				case BatchNDCG:
-					want, werr := ev.NDCG(bonus, q.K)
+					want, werr := ev.NDCGCtx(t.Context(), bonus, q.K)
 					if !errors.Is(a.Err, werr) && !errors.Is(werr, a.Err) {
 						t.Fatalf("query %d ndcg errs: batch %v, pointwise %v", i, a.Err, werr)
 					}
@@ -158,7 +158,7 @@ func TestAnswerBatchBitIdenticalToPointwise(t *testing.T) {
 						t.Errorf("query %d (k=%g): batch FPR %v != pointwise %v", i, q.K, a.Vector, want)
 					}
 				case BatchCounterfactual:
-					want, err := ev.CounterfactualBatch(bonus, q.K, q.Objects)
+					want, err := ev.CounterfactualBatchCtx(t.Context(), bonus, q.K, q.Objects)
 					if err != nil || a.Err != nil {
 						t.Fatalf("query %d cf errs: batch %v, pointwise %v", i, a.Err, err)
 					}
@@ -167,7 +167,7 @@ func TestAnswerBatchBitIdenticalToPointwise(t *testing.T) {
 							i, q.K, q.Objects, a.Counterfactuals, want)
 					}
 				case BatchBundle:
-					want, err := ev.BundleStats(*q.Bundle)
+					want, err := ev.BundleStatsCtx(t.Context(), *q.Bundle)
 					if err != nil || a.Err != nil {
 						t.Fatalf("query %d bundle errs: batch %v, pointwise %v", i, a.Err, err)
 					}
@@ -192,7 +192,7 @@ func TestAnswerBatchZeroBonusIsFree(t *testing.T) {
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{0.7, 0.3}}, rank.Beneficial)
 	for _, bonus := range [][]float64{nil, make([]float64, d.NumFair())} {
 		r0, m0 := ev.RankingCount(), ev.MergeCount()
-		answers, err := ev.AnswerBatch(bonus, []BatchQuery{
+		answers, err := ev.AnswerBatchCtx(t.Context(), bonus, []BatchQuery{
 			{Kind: BatchDisparity, K: 0.2},
 			{Kind: BatchNDCG, K: 0.1},
 			{Kind: BatchCounterfactual, K: 0.3, Objects: []int{5, 17}},
@@ -220,7 +220,7 @@ func TestAnswerBatchErrors(t *testing.T) {
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
 	bonus := []float64{2}
 
-	if answers, err := ev.AnswerBatch(bonus, nil); err != nil || answers != nil {
+	if answers, err := ev.AnswerBatchCtx(t.Context(), bonus, nil); err != nil || answers != nil {
 		t.Errorf("empty batch = (%v, %v), want (nil, nil)", answers, err)
 	}
 
@@ -239,7 +239,7 @@ func TestAnswerBatchErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		r0, m0 := ev.RankingCount(), ev.MergeCount()
-		_, err := ev.AnswerBatch(bonus, tc.qs)
+		_, err := ev.AnswerBatchCtx(t.Context(), bonus, tc.qs)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
@@ -248,7 +248,7 @@ func TestAnswerBatchErrors(t *testing.T) {
 		}
 	}
 
-	if _, err := ev.AnswerBatch([]float64{1, 2}, []BatchQuery{{Kind: BatchDisparity, K: 0.5}}); err == nil {
+	if _, err := ev.AnswerBatchCtx(t.Context(), []float64{1, 2}, []BatchQuery{{Kind: BatchDisparity, K: 0.5}}); err == nil {
 		t.Error("mismatched bonus dimensions accepted")
 	}
 }
@@ -273,7 +273,7 @@ func TestAnswerBatchZeroIdealDCGIsolation(t *testing.T) {
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
 	bonus := []float64{1}
 
-	answers, err := ev.AnswerBatch(bonus, []BatchQuery{
+	answers, err := ev.AnswerBatchCtx(t.Context(), bonus, []BatchQuery{
 		{Kind: BatchNDCG, K: 0.1},
 		{Kind: BatchDisparity, K: 0.1},
 		{Kind: BatchBundle, Bundle: &BundleStatsConfig{Bonus: bonus, K: 0.1}},
@@ -290,7 +290,7 @@ func TestAnswerBatchZeroIdealDCGIsolation(t *testing.T) {
 	if answers[1].Err != nil || answers[1].Vector == nil {
 		t.Errorf("disparity batchmate poisoned: (%v, %v)", answers[1].Vector, answers[1].Err)
 	}
-	want, err := ev.Disparity(bonus, 0.1)
+	want, err := ev.DisparityCtx(t.Context(), bonus, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"fmt"
 
 	"fairrank/internal/engine"
 	"fairrank/internal/metrics"
@@ -28,7 +27,7 @@ import (
 // TestBundleStatsDifferential / TestBundleStatsProperty pin both against
 // the reference evaluator.
 
-// BundleStatsConfig parameterizes one BundleStats pass.
+// BundleStatsConfig parameterizes one BundleStatsCtx pass.
 type BundleStatsConfig struct {
 	// Bonus is the audited bonus vector; nil or all-zero audits the
 	// uncompensated ranking (the compensated side degenerates to the base
@@ -45,13 +44,13 @@ type BundleStatsConfig struct {
 	IncludeFPR bool
 	// IncludeExposure adds the per-capita exposure rows and DDP scalars for
 	// both the compensated and the uncompensated selection; every fairness
-	// attribute must be binary (see Evaluator.Exposure).
+	// attribute must be binary (see Evaluator.ExposureCtx).
 	IncludeExposure bool
 }
 
 // BundleStats is every fixed-(bonus, k) audit quantity of one bonus
-// policy, computed from shared ranked orders by Evaluator.BundleStats.
-// It is the data layer of report.BuildBundle; the service layer also
+// policy, computed from shared ranked orders by Evaluator.BundleStatsCtx.
+// It is the data layer of report.BuildBundleCtx; the service layer also
 // reuses its Margins to answer per-object counterfactual requests.
 type BundleStats struct {
 	// K is the audited selection fraction; Selected the resulting count.
@@ -114,26 +113,16 @@ type BundleStats struct {
 	Margins []Counterfactual
 }
 
-// BundleStats computes every audit-bundle quantity for a bonus vector at
-// selection fraction k in one shared-order pass: the compensated prefix,
-// the cached base order, and one leave-one-out prefix per attribute with
-// a non-zero bonus, fanned over the engine worker pool. See the package
-// comment above for the cost model and the bit-identity contract.
-func (e *Evaluator) BundleStats(cfg BundleStatsConfig) (*BundleStats, error) {
-	return e.BundleStatsCtx(context.Background(), cfg)
-}
-
-// BundleStatsCtx is BundleStats with cooperative cancellation: once ctx
-// is done, no further ranking task is dispatched, in-flight tasks stop at
-// their next checkpoint, and the context's error is returned — no partial
-// bundle escapes. It is one BatchBundle query.
+// BundleStatsCtx computes every audit-bundle quantity for a bonus vector
+// at selection fraction k in one shared-order pass: the compensated
+// prefix, the cached base order, and one leave-one-out prefix per
+// attribute with a non-zero bonus, fanned over the engine worker pool. See
+// the package comment above for the cost model and the bit-identity
+// contract. It is one BatchBundle query. Once ctx is done, no further
+// ranking task is dispatched, in-flight tasks stop at their next
+// checkpoint, and the context's error is returned — no partial bundle
+// escapes.
 func (e *Evaluator) BundleStatsCtx(ctx context.Context, cfg BundleStatsConfig) (*BundleStats, error) {
-	if err := e.checkBonusDims(cfg.Bonus); err != nil {
-		return nil, err
-	}
-	if e.d.N() == 0 {
-		return nil, fmt.Errorf("core: cannot audit an empty dataset")
-	}
 	a, err := e.answerOne(ctx, cfg.Bonus, BatchQuery{Kind: BatchBundle, Bundle: &cfg})
 	return a.Bundle, err
 }
@@ -180,7 +169,7 @@ func (e *Evaluator) bundleWS(ws *engine.Workspace, order []int, eff []float64, c
 	}
 	if cfg.Margins > 0 {
 		lo, hi := max(cnt-cfg.Margins, 0), min(cnt+cfg.Margins, e.d.N())
-		st.Margins = e.counterfactualsWS(ws, order, eff, cnt, order[lo:hi])
+		st.Margins, _ = e.counterfactualsWS(ws, order, eff, nil, false, cnt, order[lo:hi])
 	}
 	return st, nil
 }

@@ -61,14 +61,14 @@ func bundleCohort(t testing.TB, rng *rand.Rand, n, dims int, outcomes, ties, sin
 // order. Any float compared here is compared with ==; "close" is a bug.
 func checkBundleStatsAgainstPointwise(t *testing.T, ev *Evaluator, cfg BundleStatsConfig) {
 	t.Helper()
-	st, err := ev.BundleStats(cfg)
+	st, err := ev.BundleStatsCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatalf("BundleStats(%+v): %v", cfg, err)
 	}
 	ref := newReference(ev)
 	ref.checkBundle(t, st, cfg)
 
-	exp, err := ev.Explain(cfg.Bonus, cfg.K)
+	exp, err := ev.ExplainCtx(t.Context(), cfg.Bonus, cfg.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func checkBundleStatsAgainstPointwise(t *testing.T, ev *Evaluator, cfg BundleSta
 		t.Errorf("contribution: stats %v vs AttributeDisparity %v", st.Contribution, att.Contribution)
 	}
 
-	ndcg, err := ev.NDCG(cfg.Bonus, cfg.K)
+	ndcg, err := ev.NDCGCtx(t.Context(), cfg.Bonus, cfg.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func checkBundleStatsAgainstPointwise(t *testing.T, ev *Evaluator, cfg BundleSta
 		hi = n
 	}
 	window := append([]int(nil), mustOrder(t, ev, cfg.Bonus)[lo:hi]...)
-	want, err := ev.CounterfactualBatch(cfg.Bonus, cfg.K, window)
+	want, err := ev.CounterfactualBatchCtx(t.Context(), cfg.Bonus, cfg.K, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestBundleStatsProperty(t *testing.T) {
 			// many rankings of their own, so the rank-once budget is
 			// asserted on a fresh, identical evaluator.
 			fresh := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, pol)
-			if _, err := fresh.BundleStats(cfg); err != nil {
+			if _, err := fresh.BundleStatsCtx(t.Context(), cfg); err != nil {
 				t.Fatal(err)
 			}
 			if got, budget := fresh.RankingCount(), int64(1+nonzero); got > budget {
@@ -265,7 +265,7 @@ func TestBundleStatsNilBonusAligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := bundleCohort(t, rng, 40, 3, false, false, false)
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
-	st, err := ev.BundleStats(BundleStatsConfig{Bonus: nil, K: 0.5, Margins: 1})
+	st, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: nil, K: 0.5, Margins: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,16 +290,16 @@ func TestBundleStatsValidation(t *testing.T) {
 	d := bundleCohort(t, rng, 50, 2, false, false, false)
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
 
-	if _, err := ev.BundleStats(BundleStatsConfig{Bonus: []float64{1}, K: 0.1}); err == nil {
+	if _, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: []float64{1}, K: 0.1}); err == nil {
 		t.Error("mis-sized bonus accepted")
 	}
-	if _, err := ev.BundleStats(BundleStatsConfig{Bonus: []float64{1, 1}, K: 0}); err == nil {
+	if _, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: []float64{1, 1}, K: 0}); err == nil {
 		t.Error("zero fraction accepted")
 	}
-	if _, err := ev.BundleStats(BundleStatsConfig{Bonus: []float64{1, 1}, K: 0.1, Margins: -1}); err == nil {
+	if _, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: []float64{1, 1}, K: 0.1, Margins: -1}); err == nil {
 		t.Error("negative margins accepted")
 	}
-	if _, err := ev.BundleStats(BundleStatsConfig{Bonus: []float64{1, 1}, K: 0.1, IncludeFPR: true}); err == nil {
+	if _, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: []float64{1, 1}, K: 0.1, IncludeFPR: true}); err == nil {
 		t.Error("FPR without outcomes accepted")
 	}
 
@@ -314,7 +314,7 @@ func TestBundleStatsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	zev := NewEvaluator(zd, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
-	if _, err := zev.BundleStats(BundleStatsConfig{Bonus: []float64{1}, K: 0.5}); !errors.Is(err, metrics.ErrZeroIdealDCG) {
+	if _, err := zev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: []float64{1}, K: 0.5}); !errors.Is(err, metrics.ErrZeroIdealDCG) {
 		t.Errorf("zero ideal DCG: err = %v, want ErrZeroIdealDCG", err)
 	}
 }

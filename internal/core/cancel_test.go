@@ -39,12 +39,14 @@ func TestTrainCtxCancelMidTrain(t *testing.T) {
 		t.Fatalf("TrainCtx error = %v, want context.Canceled", err)
 	}
 
-	// Same trainer, fresh run: must match a brand-new trainer exactly.
-	got, err := tr.Train(obj, DefaultOptions())
+	// Same trainer, fresh run under a live context: must match a
+	// brand-new trainer's background-context run (the Loop branch that
+	// skips checkpoints) exactly.
+	got, err := tr.TrainCtx(t.Context(), obj, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewTrainer(d, scorer).Train(obj, DefaultOptions())
+	want, err := NewTrainer(d, scorer).TrainCtx(context.Background(), obj, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,30 +111,33 @@ func TestEvaluatorCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestCtxVariantsBitIdentical pins that the background-context entries
-// answer bit-identically to the original APIs — the cancellation seams
-// must be invisible when no one cancels.
+// TestCtxVariantsBitIdentical pins that a background context (no
+// cancellation checkpoints) and a live cancellable one answer
+// bit-identically — the cancellation seams must be invisible when no one
+// cancels.
 func TestCtxVariantsBitIdentical(t *testing.T) {
 	ev := mergeEvaluator(t, 2000)
 	bonus := []float64{2, 11, 10.5, 12.5}
-	ctx := context.Background()
+	bg := context.Background()
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
 
-	selA, errA := ev.Select(bonus, 0.05)
+	selA, errA := ev.SelectCtx(bg, bonus, 0.05)
 	selB, errB := ev.SelectCtx(ctx, bonus, 0.05)
 	if errA != nil || errB != nil || !reflect.DeepEqual(selA, selB) {
 		t.Errorf("SelectCtx diverged (errs %v, %v)", errA, errB)
 	}
-	dA, errA := ev.Disparity(bonus, 0.05)
+	dA, errA := ev.DisparityCtx(bg, bonus, 0.05)
 	dB, errB := ev.DisparityCtx(ctx, bonus, 0.05)
 	if errA != nil || errB != nil || !reflect.DeepEqual(dA, dB) {
 		t.Errorf("DisparityCtx diverged (errs %v, %v)", errA, errB)
 	}
-	nA, errA := ev.NDCG(bonus, 0.05)
+	nA, errA := ev.NDCGCtx(bg, bonus, 0.05)
 	nB, errB := ev.NDCGCtx(ctx, bonus, 0.05)
 	if errA != nil || errB != nil || nA != nB {
 		t.Errorf("NDCGCtx diverged: %v vs %v (errs %v, %v)", nA, nB, errA, errB)
 	}
-	cfA, errA := ev.CounterfactualBatch(bonus, 0.05, []int{3, 44, 500})
+	cfA, errA := ev.CounterfactualBatchCtx(bg, bonus, 0.05, []int{3, 44, 500})
 	cfB, errB := ev.CounterfactualBatchCtx(ctx, bonus, 0.05, []int{3, 44, 500})
 	if errA != nil || errB != nil || !reflect.DeepEqual(cfA, cfB) {
 		t.Errorf("CounterfactualBatchCtx diverged (errs %v, %v)", errA, errB)

@@ -99,126 +99,66 @@ func (e *Evaluator) checkBonusDims(bonus []float64) error {
 	return nil
 }
 
-// Counterfactual computes the minimal score and bonus change that flips
-// one object's selection under the bonus vector at fraction k. For several
-// objects use CounterfactualBatch, which ranks once.
-func (e *Evaluator) Counterfactual(bonus []float64, k float64, obj int) (Counterfactual, error) {
-	out, err := e.CounterfactualBatch(bonus, k, []int{obj})
-	if err != nil {
-		return Counterfactual{}, err
-	}
-	return out[0], nil
-}
-
-// CounterfactualBatch computes counterfactuals for every listed object in
-// one pass: the population is ranked once (through a pooled engine
+// CounterfactualBatchCtx computes counterfactuals for every listed object
+// in one pass: the population is ranked once (through a pooled engine
 // workspace, like every evaluator path), and each object is then answered
 // in O(64) comparisons against its boundary competitor — the binary search
 // runs over float64 bit patterns, so the returned delta is the smallest
-// representable change that flips the selection. The only allocations are
-// the one-query plan, the result slice and one backing array for the
-// per-attribute rows.
-func (e *Evaluator) CounterfactualBatch(bonus []float64, k float64, objs []int) ([]Counterfactual, error) {
-	return e.CounterfactualBatchCtx(context.Background(), bonus, k, objs)
-}
-
-// CounterfactualBatchCtx is CounterfactualBatch with cooperative
-// cancellation: the single ranking pass behind the batch aborts at its
-// next checkpoint once ctx is done and the context's error is returned.
-// It is one BatchCounterfactual query. On the combo-run merge route the
-// batch needs no population-wide pass at all: the boundary competitors
-// come off a merged prefix of cnt+1 positions and each object's rank from
-// per-run binary searches; otherwise the plan ranks the full order.
+// representable change that flips the selection. The only allocations
+// are the one-query plan, the result slice and one backing array for the
+// per-attribute rows. It is one BatchCounterfactual query. On the combo-run merge route the batch needs
+// no population-wide pass at all: the boundary competitors come off a
+// merged prefix of cnt+1 positions and each object's rank from per-run
+// binary searches; otherwise the plan ranks the full order. The single
+// ranking pass aborts at its next checkpoint once ctx is done and the
+// context's error is returned.
 func (e *Evaluator) CounterfactualBatchCtx(ctx context.Context, bonus []float64, k float64, objs []int) ([]Counterfactual, error) {
-	if err := e.checkBonusDims(bonus); err != nil {
-		return nil, err
-	}
-	n := e.d.N()
-	for _, obj := range objs {
-		if obj < 0 || obj >= n {
-			return nil, fmt.Errorf("core: object %d outside [0,%d)", obj, n)
-		}
-	}
 	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchCounterfactual, K: k, Objects: objs})
 	return a.Counterfactuals, err
 }
 
-// counterfactualsMergeWS answers every listed object against a merged
-// prefix order, which must have been produced by MergeTopKIntoCtx on the
-// same workspace and cover at least the boundary competitors (positions
-// cnt-1 and, when cnt < n, cnt). Each object's rank and effective score
-// come from per-run binary searches (ComboRuns.RankOf, O(g·log(n/g)) per
-// object) against the offsets the merge left in the workspace scratch —
-// the exact rank every run contributes is the count of members
-// outranking the object under the same total order the full sort
-// realizes. ok is false only for non-finite offsets, unreachable after a
-// merge validated them.
-func (e *Evaluator) counterfactualsMergeWS(ws *engine.Workspace, order []int, bonus []float64, cnt int, objs []int) ([]Counterfactual, bool) {
+// counterfactualsWS answers every listed object against a plan's ranked
+// order and the effective scores it was ranked by, both on the same
+// workspace. The order may be a prefix as long as it covers the boundary
+// competitors (positions cnt-1 and, when cnt < n, cnt). Each object's rank
+// and effective score come from one of two sources:
+//
+//   - merged: per-run binary searches (ComboRuns.RankOf, O(g·log(n/g)) per
+//     object) against the offsets MergeTopKIntoCtx left in the workspace
+//     scratch, under bonus. The rank every run contributes is the count of
+//     members outranking the object under the same total order the full
+//     sort realizes, so an object past the merged prefix gets its exact
+//     rank. ok is false only for non-finite offsets, unreachable after a
+//     merge validated them.
+//   - otherwise: the inverse permutation of order, which must then cover
+//     every listed object. objs may alias order (the bundle margin window
+//     passes a slice of it); the inverse is built before any result is
+//     written, and nothing below mutates either buffer.
+func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff, bonus []float64, merged bool, cnt int, objs []int) ([]Counterfactual, bool) {
 	n := e.d.N()
-	ms := ws.Merge()
-	eff := ws.Eff(n)
+	var inv []int
+	if !merged {
+		// The abs buffer is unused by the ranking path.
+		inv = ws.Abs(n)
+		for pos, o := range order {
+			inv[o] = pos
+		}
+	}
 	dims := e.d.NumFair()
 	sign := e.pol.Sign()
 	backing := make([]float64, len(objs)*dims)
 	out := make([]Counterfactual, len(objs))
 	for r, obj := range objs {
-		pos, effObj, ok := e.runs.RankOf(obj, bonus, e.pol, ms)
-		if !ok {
-			return nil, false
-		}
-		cf := Counterfactual{
-			Object:       obj,
-			Rank:         pos,
-			Effective:    effObj,
-			Selected:     pos < cnt,
-			PerAttribute: backing[r*dims : (r+1)*dims : (r+1)*dims],
-		}
-		if cf.Selected {
-			if cnt == n {
-				cf.Competitor = -1
-				out[r] = cf
-				continue
+		cf := Counterfactual{Object: obj, PerAttribute: backing[r*dims : (r+1)*dims : (r+1)*dims]}
+		if merged {
+			var ok bool
+			if cf.Rank, cf.Effective, ok = e.runs.RankOf(obj, bonus, e.pol, ws.Merge()); !ok {
+				return nil, false
 			}
-			cf.Competitor = order[cnt]
 		} else {
-			cf.Competitor = order[cnt-1]
+			cf.Rank, cf.Effective = inv[obj], eff[obj]
 		}
-		cf.Cutoff = eff[cf.Competitor]
-		e.finishCounterfactual(&cf, sign)
-		out[r] = cf
-	}
-	return out, true
-}
-
-// counterfactualsWS answers every listed object against the ranked order
-// and the effective scores it was ranked by, both produced by
-// rankedPrefixWS on the same workspace; a prefix order is sufficient as
-// long as it covers every listed object and the boundary competitors
-// (positions cnt-1 and, when cnt < n, cnt). objs may alias order (the
-// bundle margin window passes a slice of it); the inverse permutation is
-// built before any result is written, and nothing below mutates either
-// buffer.
-func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff []float64, cnt int, objs []int) []Counterfactual {
-	n := e.d.N()
-	// Invert the permutation so Rank lookups are O(1); the abs buffer is
-	// unused by the ranking path.
-	inv := ws.Abs(n)
-	for pos, o := range order {
-		inv[o] = pos
-	}
-
-	dims := e.d.NumFair()
-	sign := e.pol.Sign()
-	backing := make([]float64, len(objs)*dims)
-	out := make([]Counterfactual, len(objs))
-	for r, obj := range objs {
-		cf := Counterfactual{
-			Object:       obj,
-			Rank:         inv[obj],
-			Effective:    eff[obj],
-			Selected:     inv[obj] < cnt,
-			PerAttribute: backing[r*dims : (r+1)*dims : (r+1)*dims],
-		}
+		cf.Selected = cf.Rank < cnt
 		if cf.Selected {
 			// A selected object leaves only by dropping below the first
 			// excluded object; with k covering everyone there is none.
@@ -235,17 +175,17 @@ func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff []f
 		e.finishCounterfactual(&cf, sign)
 		out[r] = cf
 	}
-	return out
+	return out, true
 }
 
 // finishCounterfactual computes the minimal flip delta and the
 // per-attribute readings of a counterfactual whose identity fields
 // (Object, Rank, Effective, Selected, Competitor, Cutoff, PerAttribute
-// backing) are already set. Both the full-ranking and the merge batch
-// paths go through it, so their results are bit-identical by
-// construction. Feasible stays false when no finite delta flips (an
-// overflowed score landed at ±Inf): the object is reported unflippable
-// rather than emitting a non-finite delta that JSON cannot carry.
+// backing) are already set. Both rank sources of counterfactualsWS go
+// through it, so their results are bit-identical by construction.
+// Feasible stays false when no finite delta flips (an overflowed score
+// landed at ±Inf): the object is reported unflippable rather than
+// emitting a non-finite delta that JSON cannot carry.
 func (e *Evaluator) finishCounterfactual(cf *Counterfactual, sign float64) {
 	delta, ok := minFlipDelta(cf.Effective, cf.Cutoff, cf.Object, cf.Competitor, cf.Selected)
 	if !ok {
@@ -315,9 +255,9 @@ func minFlipDelta(eff, cutoff float64, obj, competitor int, selected bool) (d fl
 // AttributeDisparity decomposes the disparity reduction of a bonus vector
 // at fraction k by leaving each attribute's bonus out in turn. All
 // dims+2 evaluations (zero vector, full vector, one leave-one-out vector
-// per attribute) run through DisparitySweep, so distinct vectors fan over
-// the worker pool and duplicates — an attribute whose bonus is already
-// zero leaves the vector unchanged — are ranked only once.
+// per attribute) run through DisparitySweepCtx, so distinct vectors fan
+// over the worker pool and duplicates — an attribute whose bonus is
+// already zero leaves the vector unchanged — are ranked only once.
 func (e *Evaluator) AttributeDisparity(bonus []float64, k float64) (*Attribution, error) {
 	if err := e.checkBonusDims(bonus); err != nil {
 		return nil, err
@@ -333,7 +273,7 @@ func (e *Evaluator) AttributeDisparity(bonus []float64, k float64) (*Attribution
 		loo[j] = 0
 		points[2+j] = SweepPoint{Bonus: loo, K: k}
 	}
-	vecs, err := e.DisparitySweep(points)
+	vecs, err := e.DisparitySweepCtx(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ func BenchmarkCounterfactualBatch16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.forgetOrders()
-		if _, err := ev.CounterfactualBatch(bonus, 0.05, objs); err != nil {
+		if _, err := ev.CounterfactualBatchCtx(context.Background(), bonus, 0.05, objs); err != nil {
 			b.Fatal(err)
 		}
 	}

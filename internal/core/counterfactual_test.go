@@ -86,7 +86,7 @@ func TestCounterfactualConsistency(t *testing.T) {
 		for i := range objs {
 			objs[i] = rng.Intn(n)
 		}
-		cfs, err := ev.CounterfactualBatch(bonus, k, objs)
+		cfs, err := ev.CounterfactualBatchCtx(t.Context(), bonus, k, objs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,15 +153,16 @@ func TestCounterfactualSingleMatchesBatch(t *testing.T) {
 	d := cfDataset(t, rng, 200)
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
 	bonus := []float64{2, 1, 0.5}
-	batch, err := ev.CounterfactualBatch(bonus, 0.1, []int{3, 77, 150})
+	batch, err := ev.CounterfactualBatchCtx(t.Context(), bonus, 0.1, []int{3, 77, 150})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range batch {
-		got, err := ev.Counterfactual(bonus, 0.1, want.Object)
+		one, err := ev.CounterfactualBatchCtx(t.Context(), bonus, 0.1, []int{want.Object})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := one[0]
 		if got.Object != want.Object || got.ScoreDelta != want.ScoreDelta ||
 			got.Rank != want.Rank || got.Selected != want.Selected ||
 			got.Competitor != want.Competitor || got.Cutoff != want.Cutoff {
@@ -188,7 +189,7 @@ func TestBundleMarginsMatchBatch(t *testing.T) {
 		{1, 4, 4},         // cnt=n: right side clamps to the selected tail
 		{0.5, 1000, 300},  // window wider than the population
 	} {
-		st, err := ev.BundleStats(BundleStatsConfig{Bonus: bonus, K: tc.k, Margins: tc.m})
+		st, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: bonus, K: tc.k, Margins: tc.m})
 		if err != nil {
 			t.Fatalf("k=%g m=%d: %v", tc.k, tc.m, err)
 		}
@@ -200,7 +201,7 @@ func TestBundleMarginsMatchBatch(t *testing.T) {
 		for i, cf := range win {
 			objs[i] = cf.Object
 		}
-		batch, err := ev.CounterfactualBatch(bonus, tc.k, objs)
+		batch, err := ev.CounterfactualBatchCtx(t.Context(), bonus, tc.k, objs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +217,7 @@ func TestBundleMarginsMatchBatch(t *testing.T) {
 			prev = win[i].Rank
 		}
 	}
-	if _, err := ev.BundleStats(BundleStatsConfig{Bonus: bonus, K: 0.1, Margins: -1}); err == nil {
+	if _, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: bonus, K: 0.1, Margins: -1}); err == nil {
 		t.Error("negative window size accepted")
 	}
 }
@@ -227,16 +228,16 @@ func TestCounterfactualValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := cfDataset(t, rng, 50)
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
-	if _, err := ev.CounterfactualBatch(nil, 0.1, []int{-1}); err == nil {
+	if _, err := ev.CounterfactualBatchCtx(t.Context(), nil, 0.1, []int{-1}); err == nil {
 		t.Error("negative object accepted")
 	}
-	if _, err := ev.CounterfactualBatch(nil, 0.1, []int{50}); err == nil {
+	if _, err := ev.CounterfactualBatchCtx(t.Context(), nil, 0.1, []int{50}); err == nil {
 		t.Error("out-of-range object accepted")
 	}
-	if _, err := ev.CounterfactualBatch([]float64{1}, 0.1, []int{0}); err == nil {
+	if _, err := ev.CounterfactualBatchCtx(t.Context(), []float64{1}, 0.1, []int{0}); err == nil {
 		t.Error("mis-sized bonus accepted")
 	}
-	if _, err := ev.CounterfactualBatch(nil, 0, []int{0}); err == nil {
+	if _, err := ev.CounterfactualBatchCtx(t.Context(), nil, 0, []int{0}); err == nil {
 		t.Error("k=0 accepted")
 	}
 	if _, err := ev.AttributeDisparity([]float64{1, 2}, 0.1); err == nil {
@@ -264,7 +265,7 @@ func TestCounterfactualTies(t *testing.T) {
 	}
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
 	// k=0.6 selects 3 of 5: objects 0, 1, 2 (2 beats 3 on the index tie).
-	cfs, err := ev.CounterfactualBatch(nil, 0.6, []int{2, 3})
+	cfs, err := ev.CounterfactualBatchCtx(t.Context(), nil, 0.6, []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestCounterfactualAllocations(t *testing.T) {
 	for i := range objs {
 		objs[i] = rng.Intn(d.N())
 	}
-	call := func() { _, _ = ev.CounterfactualBatch(bonus, 0.05, objs) }
+	call := func() { _, _ = ev.CounterfactualBatchCtx(t.Context(), bonus, 0.05, objs) }
 	call() // warm the workspace pool
 	if allocs := testing.AllocsPerRun(10, call); allocs > 3 {
 		t.Errorf("CounterfactualBatch: %.0f allocs per 16-object batch, want <= 3", allocs)
@@ -335,7 +336,7 @@ func TestAttributeDisparity(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm := func(b []float64) float64 {
-		v, err := ev.Disparity(b, k)
+		v, err := ev.DisparityCtx(t.Context(), b, k)
 		if err != nil {
 			t.Fatal(err)
 		}

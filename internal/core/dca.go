@@ -227,18 +227,14 @@ func (t *Trainer) Dataset() *dataset.Dataset { return t.d }
 // BaseScores returns the precomputed uncompensated scores (do not modify).
 func (t *Trainer) BaseScores() []float64 { return t.base }
 
-// Train executes the full DCA pipeline of the paper: Algorithm 1 (ladder
-// descent over random samples), Algorithm 2 (Adam refinement over epoch
-// samples with trailing-average smoothing) when RefineSteps > 0, and final
-// rounding to Granularity. obj is the fairness objective to drive to zero.
-func (t *Trainer) Train(obj Objective, opts Options) (Result, error) {
-	return t.TrainCtx(context.Background(), obj, opts)
-}
-
-// TrainCtx is Train with cooperative cancellation: the descent loop polls
-// ctx every engine.CancelCheckInterval steps and returns the context's
-// error, so a canceled caller gets its trainer back within one checkpoint
-// interval. A background context reproduces Train bit for bit.
+// TrainCtx executes the full DCA pipeline of the paper: Algorithm 1
+// (ladder descent over random samples), Algorithm 2 (Adam refinement over
+// epoch samples with trailing-average smoothing) when RefineSteps > 0, and
+// final rounding to Granularity. obj is the fairness objective to drive to
+// zero. The descent loop polls ctx every engine.CancelCheckInterval steps
+// and returns the context's error, so a canceled caller gets its trainer
+// back within one checkpoint interval; a context.Background() train skips
+// the checkpoints and trains bit for bit as a live context does.
 func (t *Trainer) TrainCtx(ctx context.Context, obj Objective, opts Options) (Result, error) {
 	start := time.Now() //fairlint:allow determinism -- wall-clock Elapsed is pure observability; it never enters the trained bonus or any ranked output
 	if err := opts.validate(t.d); err != nil {
@@ -280,26 +276,15 @@ func (t *Trainer) TrainCtx(ctx context.Context, obj Objective, opts Options) (Re
 	return res, nil
 }
 
-// TrainCore executes Algorithm 1 only (no refinement, no rounding); see
-// CoreDCA.
-func (t *Trainer) TrainCore(obj Objective, opts Options) (Result, error) {
-	opts.RefineSteps = 0
-	return t.Train(obj, opts)
-}
-
-// TrainCoreCtx is TrainCore with cooperative cancellation.
+// TrainCoreCtx executes Algorithm 1 only (no refinement, no rounding);
+// see CoreDCA.
 func (t *Trainer) TrainCoreCtx(ctx context.Context, obj Objective, opts Options) (Result, error) {
 	opts.RefineSteps = 0
 	return t.TrainCtx(ctx, obj, opts)
 }
 
-// TrainFull executes the whole-dataset variant of Section IV-C; see
+// TrainFullCtx executes the whole-dataset variant of Section IV-C; see
 // FullDCA.
-func (t *Trainer) TrainFull(obj Objective, opts Options) (Result, error) {
-	return t.TrainFullCtx(context.Background(), obj, opts)
-}
-
-// TrainFullCtx is TrainFull with cooperative cancellation.
 func (t *Trainer) TrainFullCtx(ctx context.Context, obj Objective, opts Options) (Result, error) {
 	start := time.Now() //fairlint:allow determinism -- wall-clock Elapsed is pure observability; it never enters the trained bonus or any ranked output
 	opts.SampleSize = t.d.N()
@@ -356,10 +341,10 @@ func (t *Trainer) loop(ctx context.Context, bound engine.Objective, opts Options
 }
 
 // Run executes the full DCA pipeline on a one-shot Trainer; see
-// Trainer.Train. Callers training repeatedly on the same dataset should
+// Trainer.TrainCtx. Callers training repeatedly on the same dataset should
 // hold a Trainer to reuse its buffers.
 func Run(d *dataset.Dataset, scorer rank.Scorer, obj Objective, opts Options) (Result, error) {
-	return NewTrainer(d, scorer).Train(obj, opts)
+	return NewTrainer(d, scorer).TrainCtx(context.Background(), obj, opts)
 }
 
 // CoreDCA executes Algorithm 1 only (no refinement, no rounding) and
@@ -377,7 +362,7 @@ func CoreDCA(d *dataset.Dataset, scorer rank.Scorer, obj Objective, opts Options
 // exists to validate the sampled algorithm (Theorem 4.1's swap guarantee
 // holds exactly for it).
 func FullDCA(d *dataset.Dataset, scorer rank.Scorer, obj Objective, opts Options) (Result, error) {
-	return NewTrainer(d, scorer).TrainFull(obj, opts)
+	return NewTrainer(d, scorer).TrainFullCtx(context.Background(), obj, opts)
 }
 
 func initBonus(d *dataset.Dataset, smp *sample.Sampler, opts Options) []float64 {

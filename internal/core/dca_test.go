@@ -37,11 +37,11 @@ func TestRunReducesSchoolDisparity(t *testing.T) {
 	t.Logf("bonus=%v raw=%v steps=%d elapsed=%s", res.Bonus, res.Raw, res.Steps, res.Elapsed)
 
 	ev := NewEvaluator(d, scorer, rank.Beneficial)
-	before, err := ev.Disparity(nil, 0.05)
+	before, err := ev.DisparityCtx(t.Context(), nil, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ev.Disparity(res.Bonus, 0.05)
+	after, err := ev.DisparityCtx(t.Context(), res.Bonus, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRunReducesSchoolDisparity(t *testing.T) {
 		t.Fatal(err)
 	}
 	evT := NewEvaluator(testD, scorer, rank.Beneficial)
-	afterT, err := evT.Disparity(res.Bonus, 0.05)
+	afterT, err := evT.DisparityCtx(t.Context(), res.Bonus, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCoreDCAWithoutRefinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(d, scorer, rank.Beneficial)
-	after, err := ev.Disparity(RoundTo(append([]float64(nil), res.Raw...), 0.5), 0.05)
+	after, err := ev.DisparityCtx(t.Context(), RoundTo(append([]float64(nil), res.Raw...), 0.5), 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,30 +43,33 @@
 // order. The plan leaves its order in the evaluator's one-slot memo, so
 // the next request on the same bonus vector reads it instead of ranking.
 //
-//   - Pointwise metrics (Disparity, NDCG, DisparateImpact, FPRDiff,
-//     Exposure, ExposureRatio, TopKShare) are one-query plans.
-//   - SweepCtx and the seven *Sweep adapters group points by bonus vector
-//     and run one plan per group on the worker pool, answering every
-//     selection fraction from prefix aggregates.
-//   - AnswerBatch runs a caller's heterogeneous queries as one plan; the
-//     service micro-batcher is built on it.
+//   - Pointwise metrics (DisparityCtx, NDCGCtx, DisparateImpact, FPRDiff,
+//     ExposureCtx, ExposureRatioCtx, TopKShareCtx) are one-query plans.
+//   - SweepCtx and the seven *SweepCtx adapters group points by bonus
+//     vector and run one plan per group on the worker pool, answering
+//     every selection fraction from prefix aggregates.
+//   - AnswerBatchCtx runs a caller's heterogeneous queries as one plan;
+//     the service micro-batcher is built on it.
 //
 // The explainability workloads are queries of the same plan:
 //
-//   - Explain publishes the transparency report of Section III-C (cutoff,
+//   - ExplainCtx publishes the transparency report of Section III-C (cutoff,
 //     per-group counts, beneficiaries); ExplainObject breaks one object's
 //     effective score into its published components.
-//   - Counterfactual and CounterfactualBatch answer "what is the smallest
+//   - CounterfactualBatchCtx answers "what is the smallest
 //     score or bonus change that flips this object's selection?" exactly:
 //     the flip is decided against a single boundary competitor in the
 //     ranked order, and a binary search over float64 bit patterns returns
 //     the smallest representable delta that flips (counterfactual.go).
-//   - BundleStats computes every audit-bundle quantity, adding one
+//   - BundleStatsCtx computes every audit-bundle quantity, adding one
 //     leave-one-out prefix per attribute with a non-zero bonus.
 //   - AttributeDisparity decomposes the policy's disparity reduction by
 //     leaving each attribute's bonus out in turn — the group-level
 //     attribution behind the audit bundles of internal/report.
 //
 // Every entry point that takes a bonus vector treats nil as the zero
-// vector and rejects any other length than NumFair before ranking.
+// vector and rejects any other length than NumFair before ranking. Entry
+// points that rank or train take a context.Context first and have no
+// context-free twin: callers with nothing to cancel pass
+// context.Background(), and a guard test keeps it that way.
 package core

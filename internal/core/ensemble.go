@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -37,15 +38,17 @@ func Ensemble(d *dataset.Dataset, scorer rank.Scorer, obj Objective, opts Option
 	results := make([]Result, runs)
 	errs := make([]error, runs)
 	base := scorer.BaseScores(d) // shared, read-only across workers
-	engine.ForEach(runs, d.NumFair(), func(ws *engine.Workspace, r int) {
+	dims := d.NumFair()
+	newWS := func() *engine.Workspace { return engine.NewWorkspace(dims) }
+	// A background context is never canceled, so the error is always nil.
+	_ = engine.ForEachWSCtx(context.Background(), runs, newWS, func(*engine.Workspace) {}, func(ws *engine.Workspace, r int) {
 		o := opts
 		o.Seed = opts.Seed + int64(r)
 		o.Trace = nil // trace hooks are not safe to share across goroutines
 		t := newTrainer(d, base, ws)
-		results[r], errs[r] = t.Train(obj, o)
+		results[r], errs[r] = t.TrainCtx(context.Background(), obj, o)
 	})
 
-	dims := d.NumFair()
 	sum := make([]float64, dims)
 	sumSq := make([]float64, dims)
 	out := EnsembleResult{Runs: make([]Result, 0, runs)}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -29,69 +28,51 @@ func TestEntryPointsBonusDims(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
-	ctx := context.Background()
+	ctx := t.Context()
 	const k = 0.2
 	pts := func(bonus []float64) []SweepPoint { return []SweepPoint{{Bonus: bonus, K: k}, {Bonus: bonus, K: 0.5}} }
 	entries := map[string]func(bonus []float64) (any, error){
-		"Select":       func(x []float64) (any, error) { return ev.Select(x, k) },
 		"SelectCtx":    func(x []float64) (any, error) { return ev.SelectCtx(ctx, x, k) },
-		"Disparity":    func(x []float64) (any, error) { return ev.Disparity(x, k) },
 		"DisparityCtx": func(x []float64) (any, error) { return ev.DisparityCtx(ctx, x, k) },
-		"NDCG":         func(x []float64) (any, error) { return ev.NDCG(x, k) },
 		"NDCGCtx":      func(x []float64) (any, error) { return ev.NDCGCtx(ctx, x, k) },
 		"LogDiscounted": func(x []float64) (any, error) {
 			return ev.LogDiscounted(x, metrics.LogDiscount{Points: metrics.DefaultPoints(0.1, 0.5)})
 		},
 		"DisparateImpact": func(x []float64) (any, error) { return ev.DisparateImpact(x, k) },
 		"FPRDiff":         func(x []float64) (any, error) { return ev.FPRDiff(x, k) },
-		"Exposure": func(x []float64) (any, error) {
-			v, ddp, err := ev.Exposure(x, k)
-			return []any{v, ddp}, err
-		},
 		"ExposureCtx": func(x []float64) (any, error) {
 			v, ddp, err := ev.ExposureCtx(ctx, x, k)
 			return []any{v, ddp}, err
 		},
-		"ExposureRatio":           func(x []float64) (any, error) { return ev.ExposureRatio(x, k) },
 		"ExposureRatioCtx":        func(x []float64) (any, error) { return ev.ExposureRatioCtx(ctx, x, k) },
-		"TopKShare":               func(x []float64) (any, error) { return ev.TopKShare(x, k) },
 		"TopKShareCtx":            func(x []float64) (any, error) { return ev.TopKShareCtx(ctx, x, k) },
-		"DisparitySweep":          func(x []float64) (any, error) { return ev.DisparitySweep(pts(x)) },
 		"DisparitySweepCtx":       func(x []float64) (any, error) { return ev.DisparitySweepCtx(ctx, pts(x)) },
-		"NDCGSweep":               func(x []float64) (any, error) { return ev.NDCGSweep(pts(x)) },
 		"NDCGSweepCtx":            func(x []float64) (any, error) { return ev.NDCGSweepCtx(ctx, pts(x)) },
-		"DisparateImpactSweep":    func(x []float64) (any, error) { return ev.DisparateImpactSweep(pts(x)) },
 		"DisparateImpactSweepCtx": func(x []float64) (any, error) { return ev.DisparateImpactSweepCtx(ctx, pts(x)) },
-		"FPRDiffSweep":            func(x []float64) (any, error) { return ev.FPRDiffSweep(pts(x)) },
 		"FPRDiffSweepCtx":         func(x []float64) (any, error) { return ev.FPRDiffSweepCtx(ctx, pts(x)) },
-		"ExposureSweep":           func(x []float64) (any, error) { return ev.ExposureSweep(pts(x)) },
 		"ExposureSweepCtx":        func(x []float64) (any, error) { return ev.ExposureSweepCtx(ctx, pts(x)) },
-		"ExpRatioSweep":           func(x []float64) (any, error) { return ev.ExpRatioSweep(pts(x)) },
 		"ExpRatioSweepCtx":        func(x []float64) (any, error) { return ev.ExpRatioSweepCtx(ctx, pts(x)) },
-		"TopKSweep":               func(x []float64) (any, error) { return ev.TopKSweep(pts(x)) },
 		"TopKSweepCtx":            func(x []float64) (any, error) { return ev.TopKSweepCtx(ctx, pts(x)) },
 		"SweepCtx": func(x []float64) (any, error) {
 			rows, vals, err := ev.SweepCtx(ctx, BatchNDCG, pts(x))
 			return []any{rows, vals}, err
 		},
-		"AnswerBatch": func(x []float64) (any, error) {
-			return ev.AnswerBatch(x, []BatchQuery{{Kind: BatchDisparity, K: k}, {Kind: BatchExplain, K: k}, {Kind: BatchCounterfactual, K: k, Objects: []int{3}}})
-		},
 		"AnswerBatchCtx": func(x []float64) (any, error) {
-			return ev.AnswerBatchCtx(ctx, x, []BatchQuery{{Kind: BatchNDCG, K: k}, {Kind: BatchBundle, Bundle: &BundleStatsConfig{Bonus: x, K: k, Margins: 1}}})
+			return ev.AnswerBatchCtx(ctx, x, []BatchQuery{
+				{Kind: BatchDisparity, K: k}, {Kind: BatchExplain, K: k}, {Kind: BatchCounterfactual, K: k, Objects: []int{3}},
+				{Kind: BatchNDCG, K: k}, {Kind: BatchBundle, Bundle: &BundleStatsConfig{Bonus: x, K: k, Margins: 1}},
+			})
 		},
-		"BundleStats":    func(x []float64) (any, error) { return ev.BundleStats(BundleStatsConfig{Bonus: x, K: k, Margins: 2}) },
-		"BundleStatsCtx": func(x []float64) (any, error) { return ev.BundleStatsCtx(ctx, BundleStatsConfig{Bonus: x, K: k}) },
-		"Counterfactual": func(x []float64) (any, error) { return ev.Counterfactual(x, k, 7) },
-		"CounterfactualBatch": func(x []float64) (any, error) {
-			return ev.CounterfactualBatch(x, k, []int{1, 2, 299})
+		"BundleStatsCtx": func(x []float64) (any, error) {
+			return ev.BundleStatsCtx(ctx, BundleStatsConfig{Bonus: x, K: k, Margins: 2})
 		},
-		"CounterfactualBatchCtx": func(x []float64) (any, error) { return ev.CounterfactualBatchCtx(ctx, x, k, []int{0}) },
-		"AttributeDisparity":     func(x []float64) (any, error) { return ev.AttributeDisparity(x, k) },
-		"Explain":                func(x []float64) (any, error) { return ev.Explain(x, k) },
-		"ExplainCtx":             func(x []float64) (any, error) { return ev.ExplainCtx(ctx, x, k) },
-		"FindScaleForNDCG":       func(x []float64) (any, error) { return ev.FindScaleForNDCG(x, k, 0.9, 0.5) },
-		"Order":                  func(x []float64) (any, error) { return ev.Order(x) },
+		"CounterfactualBatchCtx": func(x []float64) (any, error) {
+			return ev.CounterfactualBatchCtx(ctx, x, k, []int{0, 1, 2, 299})
+		},
+		"AttributeDisparity": func(x []float64) (any, error) { return ev.AttributeDisparity(x, k) },
+		"ExplainCtx":         func(x []float64) (any, error) { return ev.ExplainCtx(ctx, x, k) },
+		"FindScaleForNDCG":   func(x []float64) (any, error) { return ev.FindScaleForNDCG(x, k, 0.9, 0.5) },
+		"Order":              func(x []float64) (any, error) { return ev.Order(x) },
 	}
 	call := func(name string, fn func([]float64) (any, error), bonus []float64) (out any, err error) {
 		defer func() {
@@ -131,7 +112,7 @@ func TestEntryPointsBonusDims(t *testing.T) {
 
 	// ExplainObject reads the report's Bonus, which is dims long even for
 	// a nil bonus.
-	exp, err := ev.Explain(nil, k)
+	exp, err := ev.ExplainCtx(ctx, nil, k)
 	if err != nil {
 		t.Fatal(err)
 	}

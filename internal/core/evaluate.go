@@ -329,13 +329,8 @@ func (e *Evaluator) Order(bonus []float64) ([]int, error) {
 	return slices.Clone(ord), nil
 }
 
-// Select returns the top-k fraction of the population under the bonus
+// SelectCtx returns the top-k fraction of the population under the bonus
 // vector, in ranked order.
-func (e *Evaluator) Select(bonus []float64, k float64) ([]int, error) {
-	return e.SelectCtx(context.Background(), bonus, k)
-}
-
-// SelectCtx is Select with cooperative cancellation.
 func (e *Evaluator) SelectCtx(ctx context.Context, bonus []float64, k float64) ([]int, error) {
 	if err := e.checkBonusDims(bonus); err != nil {
 		return nil, err
@@ -353,25 +348,15 @@ func (e *Evaluator) SelectCtx(ctx context.Context, bonus []float64, k float64) (
 	return slices.Clone(sel), nil
 }
 
-// Disparity returns the full-population disparity vector of the top-k
+// DisparityCtx returns the full-population disparity vector of the top-k
 // selection under the bonus vector.
-func (e *Evaluator) Disparity(bonus []float64, k float64) ([]float64, error) {
-	return e.DisparityCtx(context.Background(), bonus, k)
-}
-
-// DisparityCtx is Disparity with cooperative cancellation.
 func (e *Evaluator) DisparityCtx(ctx context.Context, bonus []float64, k float64) ([]float64, error) {
 	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchDisparity, K: k})
 	return a.Vector, err
 }
 
-// NDCG returns the utility of the compensated ranking at selection
+// NDCGCtx returns the utility of the compensated ranking at selection
 // fraction k, with the uncompensated ranking as the ideal.
-func (e *Evaluator) NDCG(bonus []float64, k float64) (float64, error) {
-	return e.NDCGCtx(context.Background(), bonus, k)
-}
-
-// NDCGCtx is NDCG with cooperative cancellation.
 func (e *Evaluator) NDCGCtx(ctx context.Context, bonus []float64, k float64) (float64, error) {
 	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchNDCG, K: k})
 	return a.Value, err
@@ -428,7 +413,7 @@ const (
 // apply can be selected through a binary search"). nDCG decreases as w
 // grows, so the search brackets the largest w whose nDCG is still at least
 // target. Each round evaluates its interior probe points through
-// NDCGSweep, which groups probes whose granularity-rounded vectors
+// NDCGSweepCtx, which groups probes whose granularity-rounded vectors
 // coincide — common in late rounds, when the bracket is narrower than the
 // granularity — so every distinct scaled vector is ranked exactly once per
 // round. The probe count is fixed, so the result is deterministic
@@ -440,7 +425,7 @@ func (e *Evaluator) FindScaleForNDCG(bonus []float64, k, target, granularity flo
 	if bonus == nil {
 		bonus = make([]float64, e.d.NumFair()) // Scale keeps the length
 	}
-	full, err := e.NDCG(Scale(bonus, 1, granularity), k)
+	full, err := e.NDCGCtx(context.Background(), Scale(bonus, 1, granularity), k)
 	if err != nil {
 		return 0, err
 	}
@@ -455,7 +440,7 @@ func (e *Evaluator) FindScaleForNDCG(bonus []float64, k, target, granularity flo
 			p := lo + width*float64(i+1)/float64(scaleProbes+1)
 			probes[i] = SweepPoint{Bonus: Scale(bonus, p, granularity), K: k}
 		}
-		vals, err := e.NDCGSweep(probes)
+		vals, err := e.NDCGSweepCtx(context.Background(), probes)
 		if err != nil {
 			return 0, err
 		}

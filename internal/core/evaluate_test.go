@@ -26,14 +26,14 @@ func TestEvaluatorZeroBonusMatchesOriginal(t *testing.T) {
 	if !reflect.DeepEqual(mustOrder(t, ev, nil), mustOrder(t, ev, []float64{0})) {
 		t.Error("nil and zero bonus orders differ")
 	}
-	sel, err := ev.Select(nil, 0.1)
+	sel, err := ev.SelectCtx(t.Context(), nil, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sel, mustOrder(t, ev, nil)[:len(sel)]) {
 		t.Error("Select(nil) is not the prefix of the original order")
 	}
-	ndcg, err := ev.NDCG(nil, 0.1)
+	ndcg, err := ev.NDCGCtx(t.Context(), nil, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +46,12 @@ func TestEvaluatorDisparityMatchesMetrics(t *testing.T) {
 	d := tinyDataset(t, 500, 12)
 	scorer := rank.WeightedSum{Weights: []float64{1}}
 	ev := NewEvaluator(d, scorer, rank.Beneficial)
-	sel, err := ev.Select(nil, 0.2)
+	sel, err := ev.SelectCtx(t.Context(), nil, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := metrics.Disparity(d, sel)
-	got, err := ev.Disparity(nil, 0.2)
+	got, err := ev.DisparityCtx(t.Context(), nil, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestEvaluatorBonusMovesProtectedUp(t *testing.T) {
 	d := tinyDataset(t, 2000, 13)
 	scorer := rank.WeightedSum{Weights: []float64{1}}
 	ev := NewEvaluator(d, scorer, rank.Beneficial)
-	before, err := ev.Disparity(nil, 0.1)
+	before, err := ev.DisparityCtx(t.Context(), nil, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ev.Disparity([]float64{5}, 0.1) // exactly the generator's penalty
+	after, err := ev.DisparityCtx(t.Context(), []float64{5}, 0.1) // exactly the generator's penalty
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestEvaluatorBonusMovesProtectedUp(t *testing.T) {
 		t.Errorf("bonus did not reduce disparity: %v -> %v", before[0], after[0])
 	}
 	// nDCG decreases as the bonus perturbs the ranking.
-	u, err := ev.NDCG([]float64{5}, 0.1)
+	u, err := ev.NDCGCtx(t.Context(), []float64{5}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFindScaleForNDCG(t *testing.T) {
 	bonus := []float64{5}
 
 	// A target below the full-bonus nDCG is satisfied by w = 1.
-	full, err := ev.NDCG(bonus, 0.1)
+	full, err := ev.NDCGCtx(t.Context(), bonus, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFindScaleForNDCG(t *testing.T) {
 	if w >= 1 || w < 0 {
 		t.Fatalf("scale = %v, want in [0, 1)", w)
 	}
-	got, err := ev.NDCG(Scale(bonus, w, 0.5), 0.1)
+	got, err := ev.NDCGCtx(t.Context(), Scale(bonus, w, 0.5), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestEvaluatorAdversePolarity(t *testing.T) {
 	adv := NewEvaluator(d, scorer, rank.Adverse)
 	// With zero bonus the selections agree; with a bonus they move in
 	// opposite directions for the protected group.
-	selB, err := ben.Select([]float64{10}, 0.1)
+	selB, err := ben.SelectCtx(t.Context(), []float64{10}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	selA, err := adv.Select([]float64{10}, 0.1)
+	selA, err := adv.SelectCtx(t.Context(), []float64{10}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

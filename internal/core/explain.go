@@ -58,16 +58,11 @@ type ObjectExplanation struct {
 	Margin float64
 }
 
-// Explain produces the transparency report for a bonus vector at selection
-// fraction k. A nil bonus explains the uncompensated ranking; the
-// report's Bonus is then the zero vector.
-func (e *Evaluator) Explain(bonus []float64, k float64) (*Explanation, error) {
-	return e.ExplainCtx(context.Background(), bonus, k)
-}
-
-// ExplainCtx is Explain with cooperative cancellation. It is one
-// BatchExplain query: a single ranked prefix of the selection, read
-// against the cached uncompensated order.
+// ExplainCtx produces the transparency report for a bonus vector at
+// selection fraction k. A nil bonus explains the uncompensated ranking;
+// the report's Bonus is then the zero vector. It is one BatchExplain
+// query: a single ranked prefix of the selection, read against the cached
+// uncompensated order.
 func (e *Evaluator) ExplainCtx(ctx context.Context, bonus []float64, k float64) (*Explanation, error) {
 	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchExplain, K: k})
 	return a.Explanation, err
@@ -112,7 +107,7 @@ func (e *Evaluator) ExplainObject(exp *Explanation, obj int) (ObjectExplanation,
 	// Margin == 0 means the object sits exactly at the cutoff; whether it
 	// is in depends on the tie-break, so resolve it precisely.
 	if oe.Margin == 0 {
-		sel, err := e.Select(exp.Bonus, exp.K)
+		sel, err := e.SelectCtx(context.Background(), exp.Bonus, exp.K)
 		if err != nil {
 			return ObjectExplanation{}, err
 		}

@@ -14,7 +14,7 @@ func TestExplainReport(t *testing.T) {
 	ev := NewEvaluator(d, scorer, rank.Beneficial)
 	bonus := []float64{5} // the generator's structural penalty
 
-	exp, err := ev.Explain(bonus, 0.1)
+	exp, err := ev.ExplainCtx(t.Context(), bonus, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +56,12 @@ func TestExplainObjectBreakdown(t *testing.T) {
 	scorer := rank.WeightedSum{Weights: []float64{1}}
 	ev := NewEvaluator(d, scorer, rank.Beneficial)
 	bonus := []float64{5}
-	exp, err := ev.Explain(bonus, 0.1)
+	exp, err := ev.ExplainCtx(t.Context(), bonus, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sel, err := ev.Select(bonus, 0.1)
+	sel, err := ev.SelectCtx(t.Context(), bonus, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestExplainAdversePolarity(t *testing.T) {
 	d := tinyDataset(t, 1000, 23)
 	scorer := rank.WeightedSum{Weights: []float64{1}}
 	ev := NewEvaluator(d, scorer, rank.Adverse)
-	exp, err := ev.Explain([]float64{3}, 0.2)
+	exp, err := ev.ExplainCtx(t.Context(), []float64{3}, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}

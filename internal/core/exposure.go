@@ -30,85 +30,56 @@ func (e *Evaluator) exposureGuard() error {
 	return nil
 }
 
-// Exposure returns the per-capita exposure vector of the top-k selection
-// under the bonus vector — one entry per named group plus a trailing entry
-// for the unprotected rest — together with the DDP, the maximum pairwise
-// per-capita gap. Unpopulated groups map to 0; when fewer than two groups
-// are populated the DDP is undefined and metrics.ErrDegenerateGroups is
-// returned.
-func (e *Evaluator) Exposure(bonus []float64, k float64) ([]float64, float64, error) {
-	return e.ExposureCtx(context.Background(), bonus, k)
-}
-
-// ExposureCtx is Exposure with cooperative cancellation.
+// ExposureCtx returns the per-capita exposure vector of the top-k
+// selection under the bonus vector — one entry per named group plus a
+// trailing entry for the unprotected rest — together with the DDP, the
+// maximum pairwise per-capita gap. Unpopulated groups map to 0; when fewer
+// than two groups are populated the DDP is undefined and
+// metrics.ErrDegenerateGroups is returned.
 func (e *Evaluator) ExposureCtx(ctx context.Context, bonus []float64, k float64) ([]float64, float64, error) {
 	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchExposure, K: k})
 	return a.Vector, a.Value, err
 }
 
-// ExposureRatio returns the exposure/merit ratio vector of the top-k
+// ExposureRatioCtx returns the exposure/merit ratio vector of the top-k
 // selection under the bonus vector: each named group's per-capita exposure
 // within the prefix divided by its ground-truth-positive rate in the
 // population. The dataset must carry outcomes. Zero denominators — a group
 // absent from the prefix, empty, or without positives — yield 0, the FPR
 // convention.
-func (e *Evaluator) ExposureRatio(bonus []float64, k float64) ([]float64, error) {
-	return e.ExposureRatioCtx(context.Background(), bonus, k)
-}
-
-// ExposureRatioCtx is ExposureRatio with cooperative cancellation.
 func (e *Evaluator) ExposureRatioCtx(ctx context.Context, bonus []float64, k float64) ([]float64, error) {
 	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchExpRatio, K: k})
 	return a.Vector, err
 }
 
-// TopKShare returns the top-K rank-fairness vector of the top-k selection
-// under the bonus vector: each named group's share of the prefix minus its
-// share of the whole cohort (positive means over-representation).
-func (e *Evaluator) TopKShare(bonus []float64, k float64) ([]float64, error) {
-	return e.TopKShareCtx(context.Background(), bonus, k)
-}
-
-// TopKShareCtx is TopKShare with cooperative cancellation.
+// TopKShareCtx returns the top-K rank-fairness vector of the top-k
+// selection under the bonus vector: each named group's share of the prefix
+// minus its share of the whole cohort (positive means over-representation).
 func (e *Evaluator) TopKShareCtx(ctx context.Context, bonus []float64, k float64) ([]float64, error) {
 	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: BatchTopK, K: k})
 	return a.Vector, err
 }
 
-// ExposureSweep evaluates the per-capita exposure vector of every sweep
-// point and returns the NumFair+1-wide rows in point order. A point whose
-// prefix populates fewer than two groups fails the sweep with
+// ExposureSweepCtx evaluates the per-capita exposure vector of every
+// sweep point and returns the NumFair+1-wide rows in point order. A point
+// whose prefix populates fewer than two groups fails the sweep with
 // metrics.ErrDegenerateGroups wrapped with the point's index, like the
 // nDCG sweep's zero-ideal case. See SweepCtx.
-func (e *Evaluator) ExposureSweep(points []SweepPoint) ([][]float64, error) {
-	return e.ExposureSweepCtx(context.Background(), points)
-}
-
-// ExposureSweepCtx is ExposureSweep with cooperative cancellation.
 func (e *Evaluator) ExposureSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
 	rows, _, err := e.SweepCtx(ctx, BatchExposure, points)
 	return rows, err
 }
 
-// ExpRatioSweep evaluates the exposure/merit ratio of every sweep point
-// and returns the vectors in point order. The dataset must carry outcomes.
-func (e *Evaluator) ExpRatioSweep(points []SweepPoint) ([][]float64, error) {
-	return e.ExpRatioSweepCtx(context.Background(), points)
-}
-
-// ExpRatioSweepCtx is ExpRatioSweep with cooperative cancellation.
+// ExpRatioSweepCtx evaluates the exposure/merit ratio of every sweep
+// point and returns the vectors in point order. The dataset must carry
+// outcomes. See SweepCtx.
 func (e *Evaluator) ExpRatioSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
 	rows, _, err := e.SweepCtx(ctx, BatchExpRatio, points)
 	return rows, err
 }
 
-// TopKSweep evaluates the top-K rank-fairness share of every sweep point
-// and returns the vectors in point order.
-func (e *Evaluator) TopKSweep(points []SweepPoint) ([][]float64, error) {
-	return e.TopKSweepCtx(context.Background(), points)
-}
-
-// TopKSweepCtx is TopKSweep with cooperative cancellation.
+// TopKSweepCtx evaluates the top-K rank-fairness share of every sweep
+// point and returns the vectors in point order. See SweepCtx.
 func (e *Evaluator) TopKSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
 	rows, _, err := e.SweepCtx(ctx, BatchTopK, points)
 	return rows, err

@@ -97,7 +97,7 @@ func checkExposureSweepMatchesPointwise(t *testing.T, ev *Evaluator, points []Sw
 	wantDDP := make([]float64, len(points))
 	degenerate := false
 	for i, pt := range points {
-		v, ddp, err := ev.Exposure(pt.Bonus, pt.K)
+		v, ddp, err := ev.ExposureCtx(t.Context(), pt.Bonus, pt.K)
 		if errors.Is(err, metrics.ErrDegenerateGroups) {
 			degenerate = true
 			continue
@@ -113,7 +113,7 @@ func checkExposureSweepMatchesPointwise(t *testing.T, ev *Evaluator, points []Sw
 			ref.checkMetric(t, "pointwise exposure", BatchExposure, pt.Bonus, pt.K, BatchAnswer{Vector: wantExpo[i], Value: wantDDP[i]})
 		}
 	}
-	expo, err := ev.ExposureSweep(points)
+	expo, err := ev.ExposureSweepCtx(t.Context(), points)
 	switch {
 	case degenerate:
 		if !errors.Is(err, metrics.ErrDegenerateGroups) {
@@ -140,11 +140,11 @@ func checkExposureSweepMatchesPointwise(t *testing.T, ev *Evaluator, points []Sw
 
 	// The ratio and share metrics map degenerate denominators to 0, so they
 	// compare point for point unconditionally.
-	ratio, err := ev.ExpRatioSweep(points)
+	ratio, err := ev.ExpRatioSweepCtx(t.Context(), points)
 	if err != nil {
 		t.Fatalf("ExpRatioSweep: %v", err)
 	}
-	topk, err := ev.TopKSweep(points)
+	topk, err := ev.TopKSweepCtx(t.Context(), points)
 	if err != nil {
 		t.Fatalf("TopKSweep: %v", err)
 	}
@@ -153,11 +153,11 @@ func checkExposureSweepMatchesPointwise(t *testing.T, ev *Evaluator, points []Sw
 			ref.checkMetric(t, "expratio sweep", BatchExpRatio, pt.Bonus, pt.K, BatchAnswer{Vector: ratio[i]})
 		}
 		ref.checkMetric(t, "topk sweep", BatchTopK, pt.Bonus, pt.K, BatchAnswer{Vector: topk[i]})
-		wantRatio, err := ev.ExposureRatio(pt.Bonus, pt.K)
+		wantRatio, err := ev.ExposureRatioCtx(t.Context(), pt.Bonus, pt.K)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTopK, err := ev.TopKShare(pt.Bonus, pt.K)
+		wantTopK, err := ev.TopKShareCtx(t.Context(), pt.Bonus, pt.K)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,19 +191,19 @@ func TestExposureBatchMatchesSweep(t *testing.T) {
 		)
 		pts = append(pts, SweepPoint{Bonus: bonus, K: k})
 	}
-	answers, err := ev.AnswerBatch(bonus, qs)
+	answers, err := ev.AnswerBatchCtx(t.Context(), bonus, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	expo, err := ev.ExposureSweep(pts)
+	expo, err := ev.ExposureSweepCtx(t.Context(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio, err := ev.ExpRatioSweep(pts)
+	ratio, err := ev.ExpRatioSweepCtx(t.Context(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topk, err := ev.TopKSweep(pts)
+	topk, err := ev.TopKSweepCtx(t.Context(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,19 +242,19 @@ func TestExposureGuards(t *testing.T) {
 	// sweepDataset's "eni" column is continuous.
 	cont := sweepDataset(t, 300, 5)
 	ev := NewEvaluator(cont, rank.WeightedSum{Weights: []float64{0.7, 0.3}}, rank.Beneficial)
-	if _, _, err := ev.Exposure(nil, 0.5); err == nil || !strings.Contains(err.Error(), `"eni"`) {
+	if _, _, err := ev.ExposureCtx(t.Context(), nil, 0.5); err == nil || !strings.Contains(err.Error(), `"eni"`) {
 		t.Errorf("Exposure on continuous attrs = %v, want error naming eni", err)
 	}
 	for name, call := range map[string]func() error{
-		"ExposureSweep": func() error { _, err := ev.ExposureSweep([]SweepPoint{{K: 0.5}}); return err },
-		"ExpRatioSweep": func() error { _, err := ev.ExpRatioSweep([]SweepPoint{{K: 0.5}}); return err },
-		"TopKSweep":     func() error { _, err := ev.TopKSweep([]SweepPoint{{K: 0.5}}); return err },
+		"ExposureSweep": func() error { _, err := ev.ExposureSweepCtx(t.Context(), []SweepPoint{{K: 0.5}}); return err },
+		"ExpRatioSweep": func() error { _, err := ev.ExpRatioSweepCtx(t.Context(), []SweepPoint{{K: 0.5}}); return err },
+		"TopKSweep":     func() error { _, err := ev.TopKSweepCtx(t.Context(), []SweepPoint{{K: 0.5}}); return err },
 		"batch": func() error {
-			_, err := ev.AnswerBatch(nil, []BatchQuery{{Kind: BatchExposure, K: 0.5}})
+			_, err := ev.AnswerBatchCtx(t.Context(), nil, []BatchQuery{{Kind: BatchExposure, K: 0.5}})
 			return err
 		},
 		"bundle": func() error {
-			_, err := ev.BundleStats(BundleStatsConfig{K: 0.5, IncludeExposure: true})
+			_, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{K: 0.5, IncludeExposure: true})
 			return err
 		},
 	} {
@@ -267,24 +267,24 @@ func TestExposureGuards(t *testing.T) {
 	// other two family members work.
 	bin := tinyDataset(t, 200, 9)
 	ev2 := NewEvaluator(bin, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
-	if _, err := ev2.ExposureRatio(nil, 0.5); err == nil || !strings.Contains(err.Error(), "outcomes") {
+	if _, err := ev2.ExposureRatioCtx(t.Context(), nil, 0.5); err == nil || !strings.Contains(err.Error(), "outcomes") {
 		t.Errorf("ExposureRatio without outcomes = %v", err)
 	}
-	if _, err := ev2.ExpRatioSweep([]SweepPoint{{K: 0.5}}); err == nil || !strings.Contains(err.Error(), "outcomes") {
+	if _, err := ev2.ExpRatioSweepCtx(t.Context(), []SweepPoint{{K: 0.5}}); err == nil || !strings.Contains(err.Error(), "outcomes") {
 		t.Errorf("ExpRatioSweep without outcomes = %v", err)
 	}
-	if _, err := ev2.AnswerBatch(nil, []BatchQuery{{Kind: BatchExpRatio, K: 0.5}}); err == nil || !strings.Contains(err.Error(), "outcomes") {
+	if _, err := ev2.AnswerBatchCtx(t.Context(), nil, []BatchQuery{{Kind: BatchExpRatio, K: 0.5}}); err == nil || !strings.Contains(err.Error(), "outcomes") {
 		t.Errorf("BatchExpRatio without outcomes = %v", err)
 	}
-	if _, _, err := ev2.Exposure(nil, 0.5); err != nil {
+	if _, _, err := ev2.ExposureCtx(t.Context(), nil, 0.5); err != nil {
 		t.Errorf("Exposure on outcome-less binary dataset: %v", err)
 	}
-	if _, err := ev2.TopKShare(nil, 0.5); err != nil {
+	if _, err := ev2.TopKShareCtx(t.Context(), nil, 0.5); err != nil {
 		t.Errorf("TopKShare on outcome-less binary dataset: %v", err)
 	}
 
 	// An invalid fraction is reported with its point index.
-	if _, err := ev2.ExposureSweep([]SweepPoint{{K: 0.5}, {K: 0}}); err == nil || !strings.Contains(err.Error(), "sweep point 1") {
+	if _, err := ev2.ExposureSweepCtx(t.Context(), []SweepPoint{{K: 0.5}, {K: 0}}); err == nil || !strings.Contains(err.Error(), "sweep point 1") {
 		t.Errorf("ExposureSweep k=0 error = %v, want point-1 location", err)
 	}
 }
@@ -309,15 +309,15 @@ func TestExposureDegenerateIsolation(t *testing.T) {
 	}
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
 
-	if _, _, err := ev.Exposure(nil, 0.5); !errors.Is(err, metrics.ErrDegenerateGroups) {
+	if _, _, err := ev.ExposureCtx(t.Context(), nil, 0.5); !errors.Is(err, metrics.ErrDegenerateGroups) {
 		t.Errorf("pointwise degenerate = %v, want ErrDegenerateGroups", err)
 	}
-	_, err = ev.ExposureSweep([]SweepPoint{{K: 0.5}})
+	_, err = ev.ExposureSweepCtx(t.Context(), []SweepPoint{{K: 0.5}})
 	if !errors.Is(err, metrics.ErrDegenerateGroups) || !strings.Contains(err.Error(), "sweep point 0") {
 		t.Errorf("sweep degenerate = %v, want located ErrDegenerateGroups", err)
 	}
 
-	answers, err := ev.AnswerBatch(nil, []BatchQuery{
+	answers, err := ev.AnswerBatchCtx(t.Context(), nil, []BatchQuery{
 		{Kind: BatchExposure, K: 0.5},
 		{Kind: BatchDisparity, K: 0.5},
 	})
@@ -331,7 +331,7 @@ func TestExposureDegenerateIsolation(t *testing.T) {
 		t.Errorf("degenerate batchmate poisoned the disparity query: %+v", answers[1])
 	}
 
-	if _, err := ev.BundleStats(BundleStatsConfig{K: 0.5, IncludeExposure: true}); !errors.Is(err, metrics.ErrDegenerateGroups) {
+	if _, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{K: 0.5, IncludeExposure: true}); !errors.Is(err, metrics.ErrDegenerateGroups) {
 		t.Errorf("bundle degenerate = %v, want ErrDegenerateGroups", err)
 	}
 }
@@ -346,20 +346,20 @@ func TestBundleExposureMatchesPointwise(t *testing.T) {
 	const k = 0.17
 	cfg := BundleStatsConfig{Bonus: bonus, K: k, IncludeExposure: true}
 
-	wantExpo, wantDDP, err := ev.Exposure(bonus, k)
+	wantExpo, wantDDP, err := ev.ExposureCtx(t.Context(), bonus, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBase, wantBaseDDP, err := ev.Exposure(nil, k)
+	wantBase, wantBaseDDP, err := ev.ExposureCtx(t.Context(), nil, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := ev.BundleStats(cfg)
+	st, err := ev.BundleStatsCtx(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := ev.AnswerBatch(bonus, []BatchQuery{{Kind: BatchBundle, Bundle: &cfg}})
+	answers, err := ev.AnswerBatchCtx(t.Context(), bonus, []BatchQuery{{Kind: BatchBundle, Bundle: &cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestBundleExposureMatchesPointwise(t *testing.T) {
 	}
 
 	// Not requested -> absent entirely.
-	plain, err := ev.BundleStats(BundleStatsConfig{Bonus: bonus, K: k})
+	plain, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: bonus, K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,9 +406,9 @@ func TestExposureSweepAllocations(t *testing.T) {
 		points[i] = SweepPoint{Bonus: bonus, K: 0.05 + 0.02*float64(i)}
 	}
 	for name, call := range map[string]func(){
-		"ExposureSweep": func() { _, _ = ev.ExposureSweep(points) },
-		"ExpRatioSweep": func() { _, _ = ev.ExpRatioSweep(points) },
-		"TopKSweep":     func() { _, _ = ev.TopKSweep(points) },
+		"ExposureSweep": func() { _, _ = ev.ExposureSweepCtx(t.Context(), points) },
+		"ExpRatioSweep": func() { _, _ = ev.ExpRatioSweepCtx(t.Context(), points) },
+		"TopKSweep":     func() { _, _ = ev.TopKSweepCtx(t.Context(), points) },
 	} {
 		call() // warm the workspace pool
 		allocs := testing.AllocsPerRun(10, call)

@@ -91,11 +91,11 @@ func TestGoldenQuantizedSchoolBitIdentical(t *testing.T) {
 		{0.05, []string{"0x1.4fdf3b645a1cp-07", "-0x1.26e978d4fdf38p-07", "-0x1.1758e2196532p-06", "-0x1.26e978d4fdf4p-09"}, "0x1.eae00412d0bbfp-01"},
 		{0.9, []string{"0x1.98b09546c51p-07", "0x1.89374bc6a7fp-08", "0x1.7c790f3f07f8p-08", "0x1.7d621391dcf4p-07"}, "0x1.f9efdff803dfep-01"},
 	} {
-		disp, err := ev.Disparity(run.Bonus, g.k)
+		disp, err := ev.DisparityCtx(t.Context(), run.Bonus, g.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ndcg, err := ev.NDCG(run.Bonus, g.k)
+		ndcg, err := ev.NDCGCtx(t.Context(), run.Bonus, g.k)
 		if err != nil {
 			t.Fatal(err)
 		}

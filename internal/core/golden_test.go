@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"testing"
@@ -170,15 +171,15 @@ func TestGoldenSweepBitIdentical(t *testing.T) {
 	for _, i := range []int{1, 0, 2, 1, 2, 0, 1} {
 		points = append(points, SweepPoint{Bonus: run.Bonus, K: goldens[i].k})
 	}
-	disp, err := ev.DisparitySweep(points)
+	disp, err := ev.DisparitySweepCtx(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndcg, err := ev.NDCGSweep(points)
+	ndcg, err := ev.NDCGSweepCtx(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	di, err := ev.DisparateImpactSweep(points)
+	di, err := ev.DisparateImpactSweepCtx(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +191,11 @@ func TestGoldenSweepBitIdentical(t *testing.T) {
 		requireExact(t, label+".di", di[p], g.di)
 
 		// And the pointwise path answers the same goldens.
-		pd, err := ev.Disparity(run.Bonus, g.k)
+		pd, err := ev.DisparityCtx(context.Background(), run.Bonus, g.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pn, err := ev.NDCG(run.Bonus, g.k)
+		pn, err := ev.NDCGCtx(context.Background(), run.Bonus, g.k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +226,7 @@ func TestGoldenFPRSweepMatchesPointwise(t *testing.T) {
 		bonus[j] = 0.5 * float64(j+1)
 	}
 	points := []SweepPoint{{Bonus: bonus, K: 0.2}, {Bonus: bonus, K: 0.05}, {Bonus: nil, K: 0.2}, {Bonus: bonus, K: 1}}
-	got, err := ev.FPRDiffSweep(points)
+	got, err := ev.FPRDiffSweepCtx(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +263,10 @@ func TestTrainerReuseMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTrainer(d, scorer)
-	if _, err := tr.Train(obj, opts); err != nil { // warm the buffers
+	if _, err := tr.TrainCtx(context.Background(), obj, opts); err != nil { // warm the buffers
 		t.Fatal(err)
 	}
-	warm, err := tr.Train(obj, opts)
+	warm, err := tr.TrainCtx(context.Background(), obj, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestTrainerReuseMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullWarm, err := tr.TrainFull(obj, opts)
+	fullWarm, err := tr.TrainFullCtx(context.Background(), obj, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestTrainerCloneBitIdentical(t *testing.T) {
 	obj := DisparityObjective(0.05)
 
 	proto := NewTrainer(d, scorer)
-	want, err := proto.Train(obj, opts)
+	want, err := proto.TrainCtx(t.Context(), obj, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestTrainerCloneBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			results[c], errs[c] = proto.Clone().Train(obj, opts)
+			results[c], errs[c] = proto.Clone().TrainCtx(t.Context(), obj, opts)
 		}(c)
 	}
 	wg.Wait()
@@ -94,15 +94,15 @@ func TestTrainerReset(t *testing.T) {
 	obj := DisparityObjective(0.05)
 
 	tr := NewTrainer(a, scorer)
-	if _, err := tr.Train(obj, opts); err != nil {
+	if _, err := tr.TrainCtx(t.Context(), obj, opts); err != nil {
 		t.Fatal(err)
 	}
 	tr.Reset(b, scorer)
-	got, err := tr.Train(obj, opts)
+	got, err := tr.TrainCtx(t.Context(), obj, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewTrainer(b, scorer).Train(obj, opts)
+	want, err := NewTrainer(b, scorer).TrainCtx(t.Context(), obj, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +125,18 @@ func TestTrainerResetChangesDimensions(t *testing.T) {
 	obj := DisparityObjective(0.05)
 
 	tr := NewTrainer(a, scorer)
-	if _, err := tr.Train(obj, opts); err != nil {
+	if _, err := tr.TrainCtx(t.Context(), obj, opts); err != nil {
 		t.Fatal(err)
 	}
 	tr.Reset(narrow, scorer)
-	got, err := tr.Train(obj, opts)
+	got, err := tr.TrainCtx(t.Context(), obj, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Bonus) != 2 {
 		t.Fatalf("bonus has %d dimensions after reset, want 2", len(got.Bonus))
 	}
-	want, err := NewTrainer(narrow, scorer).Train(obj, opts)
+	want, err := NewTrainer(narrow, scorer).TrainCtx(t.Context(), obj, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

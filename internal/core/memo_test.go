@@ -49,16 +49,16 @@ func runWhatIfSession(t testing.TB, ev *Evaluator, bonus []float64) whatIfSessio
 	}
 	var s whatIfSession
 	var err error
-	if s.sweep, err = ev.DisparitySweep(pts); err != nil {
+	if s.sweep, err = ev.DisparitySweepCtx(t.Context(), pts); err != nil {
 		t.Fatal(err)
 	}
-	if s.bundle, err = ev.BundleStats(BundleStatsConfig{Bonus: bonus, K: 0.05, Margins: 8}); err != nil {
+	if s.bundle, err = ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: bonus, K: 0.05, Margins: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if s.cfs, err = ev.CounterfactualBatch(bonus, 0.05, sessionObjects(ev.Dataset().N())); err != nil {
+	if s.cfs, err = ev.CounterfactualBatchCtx(t.Context(), bonus, 0.05, sessionObjects(ev.Dataset().N())); err != nil {
 		t.Fatal(err)
 	}
-	if s.exp, err = ev.Explain(bonus, 0.05); err != nil {
+	if s.exp, err = ev.ExplainCtx(t.Context(), bonus, 0.05); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -71,13 +71,13 @@ func coldWhatIfSession(t testing.TB, ev *Evaluator, bonus []float64) whatIfSessi
 	t.Helper()
 	var s whatIfSession
 	var err error
-	if s.exp, err = ev.Explain(bonus, 0.05); err != nil {
+	if s.exp, err = ev.ExplainCtx(t.Context(), bonus, 0.05); err != nil {
 		t.Fatal(err)
 	}
-	if s.bundle, err = ev.BundleStats(BundleStatsConfig{Bonus: bonus, K: 0.05, Margins: 8}); err != nil {
+	if s.bundle, err = ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: bonus, K: 0.05, Margins: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if s.cfs, err = ev.CounterfactualBatch(bonus, 0.05, sessionObjects(ev.Dataset().N())); err != nil {
+	if s.cfs, err = ev.CounterfactualBatchCtx(t.Context(), bonus, 0.05, sessionObjects(ev.Dataset().N())); err != nil {
 		t.Fatal(err)
 	}
 	if ev.MemoHitCount() != 0 {
@@ -102,7 +102,7 @@ func TestMemoWhatIfSessionBudget(t *testing.T) {
 	for i := range pts {
 		pts[i] = SweepPoint{Bonus: bonus, K: float64(i+1) / 20}
 	}
-	sweep, err := ev.DisparitySweep(pts)
+	sweep, err := ev.DisparitySweepCtx(t.Context(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +110,15 @@ func TestMemoWhatIfSessionBudget(t *testing.T) {
 		t.Fatalf("sweep to k=1: %d rankings, %d merges, %d memo hits; want 1, 0, 0", r, m, h)
 	}
 	r0, m0, h0 := ev.RankingCount(), ev.MergeCount(), ev.MemoHitCount()
-	st, err := ev.BundleStats(BundleStatsConfig{Bonus: bonus, K: 0.05, Margins: 8})
+	st, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: bonus, K: 0.05, Margins: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfs, err := ev.CounterfactualBatch(bonus, 0.05, sessionObjects(d.N()))
+	cfs, err := ev.CounterfactualBatchCtx(t.Context(), bonus, 0.05, sessionObjects(d.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ev.Explain(bonus, 0.05)
+	exp, err := ev.ExplainCtx(t.Context(), bonus, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestMemoWhatIfSessionBudget(t *testing.T) {
 	}
 
 	want := coldWhatIfSession(t, NewEvaluator(d, scorer, rank.Beneficial), bonus)
-	coldSweep, err := NewEvaluator(d, scorer, rank.Beneficial).DisparitySweep(pts)
+	coldSweep, err := NewEvaluator(d, scorer, rank.Beneficial).DisparitySweepCtx(t.Context(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +188,16 @@ func TestMemoSlotReplaceAndExtend(t *testing.T) {
 		}
 	}
 	disp := func(bonus []float64, k float64) func() error {
-		return func() error { _, err := ev.Disparity(bonus, k); return err }
+		return func() error { _, err := ev.DisparityCtx(t.Context(), bonus, k); return err }
 	}
 	cf := func(bonus []float64) func() error {
-		return func() error { _, err := ev.CounterfactualBatch(bonus, 0.05, []int{0, n - 1}); return err }
+		return func() error {
+			_, err := ev.CounterfactualBatchCtx(t.Context(), bonus, 0.05, []int{0, n - 1})
+			return err
+		}
 	}
 	sel := func(bonus []float64) func() error {
-		return func() error { _, err := ev.Select(bonus, 0.01); return err }
+		return func() error { _, err := ev.SelectCtx(t.Context(), bonus, 0.01); return err }
 	}
 
 	step("Select on an empty slot", sel(a), 0)
@@ -210,7 +213,7 @@ func TestMemoSlotReplaceAndExtend(t *testing.T) {
 	step("zero bonus", disp(nil, 0.05), 0)
 	step("a survives a zero-bonus plan", disp(a, 0.5), 1)
 	step("bundle on b replaces a", func() error {
-		_, err := ev.BundleStats(BundleStatsConfig{Bonus: b, K: 0.05})
+		_, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: b, K: 0.05})
 		return err
 	}, 0)
 	step("b is stored", disp(b, 0.05), 1)
@@ -225,7 +228,7 @@ func TestMemoSlotReplaceAndExtend(t *testing.T) {
 func TestMemoHitHonorsCancellation(t *testing.T) {
 	ev := mergeEvaluator(t, 2000)
 	bonus := []float64{2, 11, 10.5, 12.5}
-	if _, err := ev.Disparity(bonus, 1); err != nil {
+	if _, err := ev.DisparityCtx(t.Context(), bonus, 1); err != nil {
 		t.Fatal(err)
 	}
 	dead, cancel := context.WithCancel(context.Background())
@@ -267,7 +270,7 @@ func TestMemoConcurrentAlternatingBonuses(t *testing.T) {
 	for bi, bonus := range bonuses {
 		want[bi] = make([][]BatchAnswer, len(variants))
 		for vi, qs := range variants {
-			a, err := NewEvaluator(ev.Dataset(), rank.WeightedSum{Weights: synth.SchoolScoreWeights()}, rank.Beneficial).AnswerBatch(bonus, qs)
+			a, err := NewEvaluator(ev.Dataset(), rank.WeightedSum{Weights: synth.SchoolScoreWeights()}, rank.Beneficial).AnswerBatchCtx(t.Context(), bonus, qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +287,7 @@ func TestMemoConcurrentAlternatingBonuses(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for r := 0; r < rounds; r++ {
 				bi, vi := (w+r)%len(bonuses), rng.Intn(len(variants))
-				got, err := ev.AnswerBatch(bonuses[bi], variants[vi])
+				got, err := ev.AnswerBatchCtx(t.Context(), bonuses[bi], variants[vi])
 				if err == nil && !reflect.DeepEqual(got, want[bi][vi]) {
 					err = fmt.Errorf("worker %d round %d: bonus %d variant %d differs from a fresh evaluator", w, r, bi, vi)
 				}

@@ -42,7 +42,7 @@ func TestMergeRouting(t *testing.T) {
 	t.Run("eligible small-k goes to merge", func(t *testing.T) {
 		ev := mergeEvaluator(t, 4000)
 		r0, m0 := ev.RankingCount(), ev.MergeCount()
-		if _, err := ev.Select(bonus, 0.05); err != nil {
+		if _, err := ev.SelectCtx(t.Context(), bonus, 0.05); err != nil {
 			t.Fatal(err)
 		}
 		if got := ev.RankingCount() - r0; got != 0 {
@@ -56,7 +56,7 @@ func TestMergeRouting(t *testing.T) {
 	t.Run("large-k keeps the full-scan route", func(t *testing.T) {
 		ev := mergeEvaluator(t, 4000)
 		r0, m0 := ev.RankingCount(), ev.MergeCount()
-		if _, err := ev.Select(bonus, 0.9); err != nil { // p > 3n/4
+		if _, err := ev.SelectCtx(t.Context(), bonus, 0.9); err != nil { // p > 3n/4
 			t.Fatal(err)
 		}
 		if got := ev.MergeCount() - m0; got != 0 {
@@ -86,7 +86,7 @@ func TestMergeRouting(t *testing.T) {
 			t.Fatalf("cohort not heterogeneous enough: stats %+v ok=%v", st, ok)
 		}
 		m0, r0 := ev.MergeCount(), ev.RankingCount()
-		if _, err := ev.Select([]float64{3}, 0.05); err != nil {
+		if _, err := ev.SelectCtx(t.Context(), []float64{3}, 0.05); err != nil {
 			t.Fatal(err)
 		}
 		if got := ev.MergeCount() - m0; got != 0 {
@@ -100,7 +100,7 @@ func TestMergeRouting(t *testing.T) {
 	t.Run("zero bonus is free on every route", func(t *testing.T) {
 		ev := mergeEvaluator(t, 4000)
 		r0, m0 := ev.RankingCount(), ev.MergeCount()
-		if _, err := ev.Select(nil, 0.05); err != nil {
+		if _, err := ev.SelectCtx(t.Context(), nil, 0.05); err != nil {
 			t.Fatal(err)
 		}
 		if ev.RankingCount() != r0 || ev.MergeCount() != m0 {
@@ -127,7 +127,7 @@ func TestMergeSelectDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel, err := ev.Select(bonus, k)
+			sel, err := ev.SelectCtx(t.Context(), bonus, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestMergeNDCGDifferential(t *testing.T) {
 	bonus := []float64{2, 11, 10.5, 12.5}
 	full := mustOrder(t, ev, bonus)
 	for _, k := range []float64{0.01, 0.05, 0.5, 1} {
-		got, err := ev.NDCG(bonus, k)
+		got, err := ev.NDCGCtx(t.Context(), bonus, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,9 +164,10 @@ func TestMergeNDCGDifferential(t *testing.T) {
 	}
 }
 
-// TestMergeCounterfactualDifferential pins the RankOf-based batch path
-// against the full-ranking counterfactualsWS on every field, and
-// asserts the batch actually took the merge route.
+// TestMergeCounterfactualDifferential pins counterfactualsWS's RankOf
+// source (the batch path) against its inverse-permutation source over a
+// full ranking on every field, and asserts the batch actually took the
+// merge route.
 func TestMergeCounterfactualDifferential(t *testing.T) {
 	ev := mergeEvaluator(t, 3000)
 	n := ev.Dataset().N()
@@ -181,7 +182,7 @@ func TestMergeCounterfactualDifferential(t *testing.T) {
 			objs = append(objs, (i*n)/17)
 		}
 		m0 := ev.MergeCount()
-		got, err := ev.CounterfactualBatch(bonus, k, objs)
+		got, err := ev.CounterfactualBatchCtx(t.Context(), bonus, k, objs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestMergeCounterfactualDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ev.counterfactualsWS(ws, order, ws.Eff(n), cnt, objs)
+		want, _ := ev.counterfactualsWS(ws, order, ws.Eff(n), nil, false, cnt, objs)
 		ev.put(ws)
 		for r := range want {
 			if !reflect.DeepEqual(got[r], want[r]) {

@@ -226,11 +226,11 @@ func TestAdversePolarityReducesOverflagging(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(d, scorer, rank.Adverse)
-	before, err := ev.Disparity(nil, 0.2)
+	before, err := ev.DisparityCtx(t.Context(), nil, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ev.Disparity(res.Bonus, 0.2)
+	after, err := ev.DisparityCtx(t.Context(), res.Bonus, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,10 +79,12 @@ func (r *reference) metric(t testing.TB, kind BatchKind, bonus []float64, k floa
 		if err != nil {
 			return BatchAnswer{Err: err}
 		}
-		expo, sizes := metrics.PrefixExposure(d, order, cuts)[0], metrics.PrefixExposureCounts(d, order, cuts)[0]
+		expo := metrics.PrefixExposureInto(d, order, cuts, make([]float64, dims+1), make([]float64, dims+1))
+		sizes := metrics.PrefixExposureCountsInto(d, order, cuts, make([]int, dims+1))
 		return BatchAnswer{Vector: metrics.ExposurePerCapitaInto(expo, sizes, make([]float64, dims+1)), Value: ddp}
 	case BatchExpRatio, BatchTopK:
-		expo, counts := metrics.PrefixExposure(d, order, cuts)[0], metrics.PrefixGroupCounts(d, order, cuts)[0]
+		expo := metrics.PrefixExposureInto(d, order, cuts, make([]float64, dims+1), make([]float64, dims+1))
+		counts := metrics.PrefixGroupCountsInto(d, order, cuts, make([]int, dims))
 		out := make([]float64, dims)
 		for j := range out {
 			size, pos := 0, 0

@@ -185,11 +185,11 @@ func TestTrainCtxCancelStopsPrefetch(t *testing.T) {
 			if !prefetched {
 				t.Fatal("the canceled train never prefetched")
 			}
-			got, err := tr.Train(obj, DefaultOptions())
+			got, err := tr.TrainCtx(t.Context(), obj, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := NewTrainer(tr.Dataset(), rank.WeightedSum{Weights: synth.SchoolScoreWeights()}).Train(obj, DefaultOptions())
+			want, err := NewTrainer(tr.Dataset(), rank.WeightedSum{Weights: synth.SchoolScoreWeights()}).TrainCtx(context.Background(), obj, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -210,51 +210,30 @@ func (e *Evaluator) SweepCtx(ctx context.Context, kind BatchKind, points []Sweep
 	return rows, vals, nil
 }
 
-// DisparitySweep evaluates the full-population disparity of every sweep
-// point and returns the vectors in point order. See SweepCtx.
-func (e *Evaluator) DisparitySweep(points []SweepPoint) ([][]float64, error) {
-	return e.DisparitySweepCtx(context.Background(), points)
-}
-
-// DisparitySweepCtx is DisparitySweep with cooperative cancellation.
+// DisparitySweepCtx evaluates the full-population disparity of every
+// sweep point and returns the vectors in point order. See SweepCtx.
 func (e *Evaluator) DisparitySweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
 	rows, _, err := e.SweepCtx(ctx, BatchDisparity, points)
 	return rows, err
 }
 
-// NDCGSweep evaluates the nDCG of every sweep point and returns the values
-// in point order. See SweepCtx.
-func (e *Evaluator) NDCGSweep(points []SweepPoint) ([]float64, error) {
-	return e.NDCGSweepCtx(context.Background(), points)
-}
-
-// NDCGSweepCtx is NDCGSweep with cooperative cancellation.
+// NDCGSweepCtx evaluates the nDCG of every sweep point and returns the
+// values in point order. See SweepCtx.
 func (e *Evaluator) NDCGSweepCtx(ctx context.Context, points []SweepPoint) ([]float64, error) {
 	_, vals, err := e.SweepCtx(ctx, BatchNDCG, points)
 	return vals, err
 }
 
-// DisparateImpactSweep evaluates the scaled disparate impact of every
+// DisparateImpactSweepCtx evaluates the scaled disparate impact of every
 // sweep point and returns the vectors in point order. See SweepCtx.
-func (e *Evaluator) DisparateImpactSweep(points []SweepPoint) ([][]float64, error) {
-	return e.DisparateImpactSweepCtx(context.Background(), points)
-}
-
-// DisparateImpactSweepCtx is DisparateImpactSweep with cooperative
-// cancellation.
 func (e *Evaluator) DisparateImpactSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
 	rows, _, err := e.SweepCtx(ctx, BatchDisparateImpact, points)
 	return rows, err
 }
 
-// FPRDiffSweep evaluates the per-group false-positive-rate difference of
-// every sweep point and returns the vectors in point order. The dataset
-// must carry outcomes. See SweepCtx.
-func (e *Evaluator) FPRDiffSweep(points []SweepPoint) ([][]float64, error) {
-	return e.FPRDiffSweepCtx(context.Background(), points)
-}
-
-// FPRDiffSweepCtx is FPRDiffSweep with cooperative cancellation.
+// FPRDiffSweepCtx evaluates the per-group false-positive-rate difference
+// of every sweep point and returns the vectors in point order. The
+// dataset must carry outcomes. See SweepCtx.
 func (e *Evaluator) FPRDiffSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
 	rows, _, err := e.SweepCtx(ctx, BatchFPRDiff, points)
 	return rows, err

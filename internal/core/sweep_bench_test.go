@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -53,7 +54,7 @@ func BenchmarkDisparitySweep16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.forgetOrders()
-		if _, err := ev.DisparitySweep(pts); err != nil {
+		if _, err := ev.DisparitySweepCtx(context.Background(), pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func BenchmarkNDCGSweep16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.forgetOrders()
-		if _, err := ev.NDCGSweep(pts); err != nil {
+		if _, err := ev.NDCGSweepCtx(context.Background(), pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +78,7 @@ func BenchmarkDisparateImpactSweep16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.forgetOrders()
-		if _, err := ev.DisparateImpactSweep(pts); err != nil {
+		if _, err := ev.DisparateImpactSweepCtx(context.Background(), pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +98,7 @@ func BenchmarkDisparitySweepFullK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.forgetOrders()
-		if _, err := ev.DisparitySweep(full); err != nil {
+		if _, err := ev.DisparitySweepCtx(context.Background(), full); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -106,19 +106,19 @@ func TestSweepBitIdenticalToPointwise(t *testing.T) {
 
 func checkSweepMatchesPointwise(t *testing.T, ev *Evaluator, points []SweepPoint) {
 	t.Helper()
-	disp, err := ev.DisparitySweep(points)
+	disp, err := ev.DisparitySweepCtx(t.Context(), points)
 	if err != nil {
 		t.Fatalf("DisparitySweep: %v", err)
 	}
-	ndcg, err := ev.NDCGSweep(points)
+	ndcg, err := ev.NDCGSweepCtx(t.Context(), points)
 	if err != nil {
 		t.Fatalf("NDCGSweep: %v", err)
 	}
-	di, err := ev.DisparateImpactSweep(points)
+	di, err := ev.DisparateImpactSweepCtx(t.Context(), points)
 	if err != nil {
 		t.Fatalf("DisparateImpactSweep: %v", err)
 	}
-	fpr, err := ev.FPRDiffSweep(points)
+	fpr, err := ev.FPRDiffSweepCtx(t.Context(), points)
 	if err != nil {
 		t.Fatalf("FPRDiffSweep: %v", err)
 	}
@@ -129,11 +129,11 @@ func checkSweepMatchesPointwise(t *testing.T, ev *Evaluator, points []SweepPoint
 		ref.checkMetric(t, label, BatchNDCG, pt.Bonus, pt.K, BatchAnswer{Value: ndcg[i]})
 		ref.checkMetric(t, label, BatchDisparateImpact, pt.Bonus, pt.K, BatchAnswer{Vector: di[i]})
 		ref.checkMetric(t, label, BatchFPRDiff, pt.Bonus, pt.K, BatchAnswer{Vector: fpr[i]})
-		wantDisp, err := ev.Disparity(pt.Bonus, pt.K)
+		wantDisp, err := ev.DisparityCtx(t.Context(), pt.Bonus, pt.K)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantNDCG, err := ev.NDCG(pt.Bonus, pt.K)
+		wantNDCG, err := ev.NDCGCtx(t.Context(), pt.Bonus, pt.K)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,19 +167,19 @@ func TestSweepErrors(t *testing.T) {
 	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Beneficial)
 
 	// Empty sweeps are empty answers, not errors.
-	if out, err := ev.DisparitySweep(nil); err != nil || len(out) != 0 {
+	if out, err := ev.DisparitySweepCtx(t.Context(), nil); err != nil || len(out) != 0 {
 		t.Errorf("empty DisparitySweep = (%v, %v)", out, err)
 	}
-	if out, err := ev.NDCGSweep(nil); err != nil || len(out) != 0 {
+	if out, err := ev.NDCGSweepCtx(t.Context(), nil); err != nil || len(out) != 0 {
 		t.Errorf("empty NDCGSweep = (%v, %v)", out, err)
 	}
 
 	// An invalid fraction is reported with its point index.
 	bad := []SweepPoint{{K: 0.5}, {K: 0}, {K: 0.1}}
 	for name, call := range map[string]func([]SweepPoint) error{
-		"disparity": func(p []SweepPoint) error { _, err := ev.DisparitySweep(p); return err },
-		"ndcg":      func(p []SweepPoint) error { _, err := ev.NDCGSweep(p); return err },
-		"di":        func(p []SweepPoint) error { _, err := ev.DisparateImpactSweep(p); return err },
+		"disparity": func(p []SweepPoint) error { _, err := ev.DisparitySweepCtx(t.Context(), p); return err },
+		"ndcg":      func(p []SweepPoint) error { _, err := ev.NDCGSweepCtx(t.Context(), p); return err },
+		"di":        func(p []SweepPoint) error { _, err := ev.DisparateImpactSweepCtx(t.Context(), p); return err },
 	} {
 		err := call(bad)
 		if err == nil {
@@ -191,7 +191,7 @@ func TestSweepErrors(t *testing.T) {
 	}
 
 	// FPR sweeps need outcomes (tinyDataset has none).
-	if _, err := ev.FPRDiffSweep([]SweepPoint{{K: 0.1}}); err == nil || !strings.Contains(err.Error(), "outcomes") {
+	if _, err := ev.FPRDiffSweepCtx(t.Context(), []SweepPoint{{K: 0.1}}); err == nil || !strings.Contains(err.Error(), "outcomes") {
 		t.Errorf("FPRDiffSweep without outcomes = %v", err)
 	}
 }
@@ -212,10 +212,10 @@ func TestSweepAllocations(t *testing.T) {
 		points[i] = SweepPoint{Bonus: bonus, K: 0.01 + 0.02*float64(i)}
 	}
 	for name, call := range map[string]func(){
-		"DisparitySweep":       func() { _, _ = ev.DisparitySweep(points) },
-		"NDCGSweep":            func() { _, _ = ev.NDCGSweep(points) },
-		"DisparateImpactSweep": func() { _, _ = ev.DisparateImpactSweep(points) },
-		"FPRDiffSweep":         func() { _, _ = ev.FPRDiffSweep(points) },
+		"DisparitySweep":       func() { _, _ = ev.DisparitySweepCtx(t.Context(), points) },
+		"NDCGSweep":            func() { _, _ = ev.NDCGSweepCtx(t.Context(), points) },
+		"DisparateImpactSweep": func() { _, _ = ev.DisparateImpactSweepCtx(t.Context(), points) },
+		"FPRDiffSweep":         func() { _, _ = ev.FPRDiffSweepCtx(t.Context(), points) },
 	} {
 		call() // warm the workspace pool
 		allocs := testing.AllocsPerRun(10, call)

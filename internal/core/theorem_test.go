@@ -122,11 +122,11 @@ func TestFullDCAReducesDisparity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(d, scorer, rank.Beneficial)
-	before, err := ev.Disparity(nil, 0.1)
+	before, err := ev.DisparityCtx(t.Context(), nil, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ev.Disparity(res.Bonus, 0.1)
+	after, err := ev.DisparityCtx(t.Context(), res.Bonus, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestRefinementImprovesOverCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cd, err := ev.Disparity(RoundTo(append([]float64(nil), cr.Raw...), 0.5), 0.05)
+		cd, err := ev.DisparityCtx(t.Context(), RoundTo(append([]float64(nil), cr.Raw...), 0.5), 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestRefinementImprovesOverCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd, err := ev.Disparity(rr.Bonus, 0.05)
+		rd, err := ev.DisparityCtx(t.Context(), rr.Bonus, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,11 +53,11 @@ func TestConcurrentEnsembleAndSweeps(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 5; iter++ {
-				if _, err := ev.DisparitySweep(points); err != nil {
+				if _, err := ev.DisparitySweepCtx(t.Context(), points); err != nil {
 					t.Errorf("disparity sweep: %v", err)
 					return
 				}
-				if _, err := ev.NDCGSweep(points); err != nil {
+				if _, err := ev.NDCGSweepCtx(t.Context(), points); err != nil {
 					t.Errorf("ndcg sweep: %v", err)
 					return
 				}
@@ -130,11 +130,11 @@ func TestTrainerSteadyStateAllocations(t *testing.T) {
 	tr := core.NewTrainer(d, scorer)
 	opts := core.DefaultOptions()
 	opts.Seed = 5
-	if _, err := tr.TrainCore(obj, opts); err != nil { // warm buffers
+	if _, err := tr.TrainCoreCtx(t.Context(), obj, opts); err != nil { // warm buffers
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := tr.TrainCore(obj, opts); err != nil {
+		if _, err := tr.TrainCoreCtx(t.Context(), obj, opts); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -101,10 +101,14 @@ func TestForEachCoversAllTasksDeterministically(t *testing.T) {
 	const n = 137
 	hits := make([]int, n)
 	dims := make([]int, n)
-	ForEach(n, 5, func(ws *Workspace, i int) {
+	get := func() *Workspace { return NewWorkspace(5) }
+	put := func(*Workspace) {}
+	if err := ForEachWSCtx(t.Context(), n, get, put, func(ws *Workspace, i int) {
 		hits[i]++
 		dims[i] = ws.Dims()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < n; i++ {
 		if hits[i] != 1 {
 			t.Fatalf("task %d ran %d times", i, hits[i])
@@ -113,5 +117,7 @@ func TestForEachCoversAllTasksDeterministically(t *testing.T) {
 			t.Fatalf("task %d saw workspace dims %d", i, dims[i])
 		}
 	}
-	ForEach(0, 1, func(*Workspace, int) { t.Fatal("ForEach(0) must not run tasks") })
+	if err := ForEachWSCtx(t.Context(), 0, get, put, func(*Workspace, int) { t.Fatal("ForEachWSCtx(0) must not run tasks") }); err != nil {
+		t.Fatal(err)
+	}
 }

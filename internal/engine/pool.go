@@ -6,35 +6,18 @@ import (
 	"sync"
 )
 
-// ForEach runs fn for every index 0..n-1 across min(GOMAXPROCS, n) worker
-// goroutines, handing each goroutine its own fresh Workspace over dims
-// fairness dimensions. fn must record results and errors into
+// ForEachWSCtx runs fn for every index 0..n-1 across min(GOMAXPROCS, n)
+// worker goroutines. Each worker goroutine gets one workspace from get and
+// returns it through put when its share of the work is done, so a caller
+// with a long-lived workspace pool (an Evaluator's sync.Pool) recycles
+// buffers across calls. fn must record results and errors into
 // index-addressed slices it owns, which keeps aggregation deterministic
-// regardless of scheduling. ForEach returns after every task has
-// completed.
-func ForEach(n, dims int, fn func(ws *Workspace, i int)) {
-	ForEachWS(n,
-		func() *Workspace { return NewWorkspace(dims) },
-		func(*Workspace) {},
-		fn)
-}
-
-// ForEachWS is ForEach with caller-controlled workspace acquisition: each
-// worker goroutine gets one workspace from get and returns it through put
-// when its share of the work is done. Callers with a long-lived workspace
-// pool (e.g. an Evaluator's sync.Pool) use this to recycle buffers across
-// calls.
-func ForEachWS(n int, get func() *Workspace, put func(*Workspace), fn func(ws *Workspace, i int)) {
-	// context.Background is never canceled, so the error is statically nil.
-	_ = ForEachWSCtx(context.Background(), n, get, put, fn)
-}
-
-// ForEachWSCtx is ForEachWS with cooperative cancellation: once ctx is
-// done, no further index is dispatched and ForEachWSCtx returns ctx's
-// error after the in-flight tasks finish. Tasks already handed to a worker
-// always run to completion — long tasks are expected to poll ctx at their
-// own checkpoints — so index-addressed result slices never hold a value
-// from a half-finished fn. All worker goroutines have exited by the time
+// regardless of scheduling. Once ctx is done, no further index is
+// dispatched and ForEachWSCtx returns ctx's error after the in-flight
+// tasks finish. Tasks already handed to a worker always run to
+// completion — long tasks are expected to poll ctx at their own
+// checkpoints — so index-addressed result slices never hold a value from
+// a half-finished fn. All worker goroutines have exited by the time
 // ForEachWSCtx returns, canceled or not.
 func ForEachWSCtx(ctx context.Context, n int, get func() *Workspace, put func(*Workspace), fn func(ws *Workspace, i int)) error {
 	if n <= 0 {

@@ -7,7 +7,7 @@ import "fairrank/internal/rank"
 // the steady-state allocation count of a descent step is zero.
 //
 // A Workspace is not safe for concurrent use: create one per goroutine
-// (see ForEach, which does exactly that).
+// (see ForEachWSCtx, which does exactly that).
 type Workspace struct {
 	dims int
 

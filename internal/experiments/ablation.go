@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"fairrank/internal/core"
@@ -27,7 +28,7 @@ func AblationOptimizer(env *Env) (Renderable, error) {
 	// Nelder-Mead over the full-dataset objective.
 	nmStart := time.Now()
 	obj := func(b []float64) float64 {
-		disp, err := trainEval.Disparity(b, k)
+		disp, err := trainEval.DisparityCtx(context.Background(), b, k)
 		if err != nil {
 			return 1
 		}
@@ -41,7 +42,7 @@ func AblationOptimizer(env *Env) (Renderable, error) {
 	})
 	nmElapsed := time.Since(nmStart)
 	nmBonus := core.RoundTo(append([]float64(nil), nm.X...), 0.5)
-	nmDisp, err := trainEval.Disparity(nmBonus, k)
+	nmDisp, err := trainEval.DisparityCtx(context.Background(), nmBonus, k)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +52,7 @@ func AblationOptimizer(env *Env) (Renderable, error) {
 	if err != nil {
 		return nil, err
 	}
-	dcaDisp, err := trainEval.Disparity(dcaRes.Bonus, k)
+	dcaDisp, err := trainEval.DisparityCtx(context.Background(), dcaRes.Bonus, k)
 	if err != nil {
 		return nil, err
 	}

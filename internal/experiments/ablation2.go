@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -35,7 +36,7 @@ func AblationSampleSize(env *Env) (Renderable, error) {
 		if err != nil {
 			return nil, err
 		}
-		disp, err := testEval.Disparity(res.Bonus, k)
+		disp, err := testEval.DisparityCtx(context.Background(), res.Bonus, k)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +97,7 @@ func AblationEstimator(env *Env) (Renderable, error) {
 	if err != nil {
 		return nil, err
 	}
-	truth, err := trainEval.Disparity(nil, k)
+	truth, err := trainEval.DisparityCtx(context.Background(), nil, k)
 	if err != nil {
 		return nil, err
 	}

@@ -127,7 +127,7 @@ func TestFig4Crossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm := func(b []float64, k float64) float64 {
-		d, err := testEval.Disparity(b, k)
+		d, err := testEval.DisparityCtx(t.Context(), b, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"fairrank/internal/baselines"
@@ -131,13 +132,13 @@ func Fig7(env *Env) (Renderable, error) {
 	var dcaNorm, dcaNDCG, celisNorm, celisNDCG []float64
 	for _, w := range env.Cfg.WSweep {
 		scaled := core.Scale(res.Bonus, w, 0.5)
-		sel, err := trainEval.Select(scaled, k)
+		sel, err := trainEval.SelectCtx(context.Background(), scaled, k)
 		if err != nil {
 			return nil, err
 		}
 		disp := metrics.Disparity(train, sel)
 		dcaNorm = append(dcaNorm, metrics.Norm(disp))
-		u, err := trainEval.NDCG(scaled, k)
+		u, err := trainEval.NDCGCtx(context.Background(), scaled, k)
 		if err != nil {
 			return nil, err
 		}
@@ -210,11 +211,11 @@ func Fig9(env *Env) (Renderable, error) {
 			core.SweepPoint{Bonus: dispRes.Bonus, K: k},
 			core.SweepPoint{Bonus: diRes.Bonus, K: k})
 	}
-	disps, err := ev.DisparitySweep(points)
+	disps, err := ev.DisparitySweepCtx(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}
-	impacts, err := ev.DisparateImpactSweep(points)
+	impacts, err := ev.DisparateImpactSweepCtx(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fairrank/internal/core"
 	"fairrank/internal/metrics"
 	"fairrank/internal/report"
@@ -22,7 +23,7 @@ func Fig1(env *Env) (Renderable, error) {
 		}
 		points = append(points, core.SweepPoint{Bonus: res.Bonus, K: k})
 	}
-	ndcg, err := testEval.NDCGSweep(points)
+	ndcg, err := testEval.NDCGSweepCtx(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}
@@ -47,11 +48,11 @@ func Fig2(env *Env) (Renderable, error) {
 	for i, w := range env.Cfg.WSweep {
 		points[i] = core.SweepPoint{Bonus: core.Scale(res.Bonus, w, 0.5), K: k}
 	}
-	disps, err := testEval.DisparitySweep(points)
+	disps, err := testEval.DisparitySweepCtx(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}
-	ndcgs, err := testEval.NDCGSweep(points)
+	ndcgs, err := testEval.NDCGSweepCtx(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +84,7 @@ func Fig3(env *Env) (Renderable, error) {
 	for i, w := range env.Cfg.WSweep {
 		points[i] = core.SweepPoint{Bonus: core.Scale(res.Bonus, w, 0.5), K: k}
 	}
-	disps, err := testEval.DisparitySweep(points)
+	disps, err := testEval.DisparitySweepCtx(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +116,7 @@ func disparitySweep(env *Env, ev *core.Evaluator, bonusFor func(k float64) ([]fl
 		}
 		points = append(points, core.SweepPoint{Bonus: b, K: k})
 	}
-	disps, err := ev.DisparitySweep(points)
+	disps, err := ev.DisparitySweepCtx(context.Background(), points)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func TestQuotaWorseThanDCA(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 0.05
-	baseline, err := testEval.Disparity(nil, k)
+	baseline, err := testEval.DisparityCtx(t.Context(), nil, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestQuotaWorseThanDCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dca, err := testEval.Disparity(res.Bonus, k)
+	dca, err := testEval.DisparityCtx(t.Context(), res.Bonus, k)
 	if err != nil {
 		t.Fatal(err)
 	}

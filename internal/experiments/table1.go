@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"fairrank/internal/core"
@@ -38,10 +39,10 @@ func Table1(env *Env) (Renderable, error) {
 		return nil, err
 	}
 	res := &Table1Result{Names: trainEval.Dataset().FairNames()}
-	if res.BaselineTrain, err = trainEval.Disparity(nil, k); err != nil {
+	if res.BaselineTrain, err = trainEval.DisparityCtx(context.Background(), nil, k); err != nil {
 		return nil, err
 	}
-	if res.BaselineTest, err = testEval.Disparity(nil, k); err != nil {
+	if res.BaselineTest, err = testEval.DisparityCtx(context.Background(), nil, k); err != nil {
 		return nil, err
 	}
 
@@ -50,10 +51,10 @@ func Table1(env *Env) (Renderable, error) {
 		return nil, err
 	}
 	res.CoreBonus = core.RoundTo(append([]float64(nil), coreRes.Raw...), 0.5)
-	if res.CoreTrain, err = trainEval.Disparity(res.CoreBonus, k); err != nil {
+	if res.CoreTrain, err = trainEval.DisparityCtx(context.Background(), res.CoreBonus, k); err != nil {
 		return nil, err
 	}
-	if res.CoreTest, err = testEval.Disparity(res.CoreBonus, k); err != nil {
+	if res.CoreTest, err = testEval.DisparityCtx(context.Background(), res.CoreBonus, k); err != nil {
 		return nil, err
 	}
 
@@ -62,10 +63,10 @@ func Table1(env *Env) (Renderable, error) {
 		return nil, err
 	}
 	res.DCABonus = dcaRes.Bonus
-	if res.DCATrain, err = trainEval.Disparity(res.DCABonus, k); err != nil {
+	if res.DCATrain, err = trainEval.DisparityCtx(context.Background(), res.DCABonus, k); err != nil {
 		return nil, err
 	}
-	if res.DCATest, err = testEval.Disparity(res.DCABonus, k); err != nil {
+	if res.DCATest, err = testEval.DisparityCtx(context.Background(), res.DCABonus, k); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fairrank/internal/baselines"
 	"fairrank/internal/core"
 	"fairrank/internal/metrics"
@@ -28,7 +29,7 @@ func Table2(env *Env) (Renderable, error) {
 		return nil, err
 	}
 
-	baseline, err := ev.Disparity(nil, k)
+	baseline, err := ev.DisparityCtx(context.Background(), nil, k)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +40,7 @@ func Table2(env *Env) (Renderable, error) {
 	if err != nil {
 		return nil, err
 	}
-	dcaDisp, err := ev.Disparity(dcaRes.Bonus, k)
+	dcaDisp, err := ev.DisparityCtx(context.Background(), dcaRes.Bonus, k)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +55,7 @@ func Table2(env *Env) (Renderable, error) {
 		}
 		memberships[i] = m
 	}
-	baseSel, err := ev.Select(nil, k)
+	baseSel, err := ev.SelectCtx(context.Background(), nil, k)
 	if err != nil {
 		return nil, err
 	}

@@ -37,14 +37,15 @@ func binaryPrefixDataset(t *testing.T, n int, seed int64) (*dataset.Dataset, []i
 func TestPrefixExposureBitIdentical(t *testing.T) {
 	d, order := binaryPrefixDataset(t, 400, 1)
 	cuts := []int{1, 2, 37, 38, 200, 399, 400}
-	rows := PrefixExposure(d, order, cuts)
 	g := d.NumFair() + 1
+	flat := PrefixExposureInto(d, order, cuts, make([]float64, g), make([]float64, len(cuts)*g))
 	for c, cut := range cuts {
+		row := flat[c*g : (c+1)*g]
 		for j := 0; j < d.NumFair(); j++ {
 			col := d.FairColumn(j)
 			want := Exposure(order[:cut], func(i int) bool { return col[i] > 0.5 })
-			if rows[c][j] != want {
-				t.Errorf("cut %d group %d: prefix %v != Exposure %v (not bit-identical)", cut, j, rows[c][j], want)
+			if row[j] != want {
+				t.Errorf("cut %d group %d: prefix %v != Exposure %v (not bit-identical)", cut, j, row[j], want)
 			}
 		}
 		rest := Exposure(order[:cut], func(i int) bool {
@@ -55,8 +56,8 @@ func TestPrefixExposureBitIdentical(t *testing.T) {
 			}
 			return true
 		})
-		if rows[c][g-1] != rest {
-			t.Errorf("cut %d rest group: prefix %v != Exposure %v", cut, rows[c][g-1], rest)
+		if row[g-1] != rest {
+			t.Errorf("cut %d rest group: prefix %v != Exposure %v", cut, row[g-1], rest)
 		}
 	}
 }
@@ -64,9 +65,10 @@ func TestPrefixExposureBitIdentical(t *testing.T) {
 func TestPrefixExposureCountsMatchesScan(t *testing.T) {
 	d, order := binaryPrefixDataset(t, 300, 2)
 	cuts := []int{1, 5, 150, 300}
-	rows := PrefixExposureCounts(d, order, cuts)
 	g := d.NumFair() + 1
+	flat := PrefixExposureCountsInto(d, order, cuts, make([]int, len(cuts)*g))
 	for c, cut := range cuts {
+		row := flat[c*g : (c+1)*g]
 		wantRest := 0
 		for _, i := range order[:cut] {
 			inAny := false
@@ -79,8 +81,8 @@ func TestPrefixExposureCountsMatchesScan(t *testing.T) {
 				wantRest++
 			}
 		}
-		if rows[c][g-1] != wantRest {
-			t.Errorf("cut %d: rest count %d != %d", cut, rows[c][g-1], wantRest)
+		if row[g-1] != wantRest {
+			t.Errorf("cut %d: rest count %d != %d", cut, row[g-1], wantRest)
 		}
 		for j := 0; j < d.NumFair(); j++ {
 			col := d.FairColumn(j)
@@ -90,8 +92,8 @@ func TestPrefixExposureCountsMatchesScan(t *testing.T) {
 					want++
 				}
 			}
-			if rows[c][j] != want {
-				t.Errorf("cut %d group %d: count %d != %d", cut, j, rows[c][j], want)
+			if row[j] != want {
+				t.Errorf("cut %d group %d: count %d != %d", cut, j, row[j], want)
 			}
 		}
 	}
@@ -105,20 +107,21 @@ func TestDDPFinishersBitIdentical(t *testing.T) {
 	d, order := binaryPrefixDataset(t, 350, 3)
 	fairCols := []int{0, 1, 2}
 	cuts := []int{1, 2, 50, 173, 350}
-	expo := PrefixExposure(d, order, cuts)
-	sizes := PrefixExposureCounts(d, order, cuts)
 	g := d.NumFair() + 1
+	expoFlat := PrefixExposureInto(d, order, cuts, make([]float64, g), make([]float64, len(cuts)*g))
+	sizesFlat := PrefixExposureCountsInto(d, order, cuts, make([]int, len(cuts)*g))
 	pc := make([]float64, g)
 	for c, cut := range cuts {
+		expo, sizes := expoFlat[c*g:(c+1)*g], sizesFlat[c*g:(c+1)*g]
 		want, wantErr := DDP(d, order[:cut], fairCols)
-		got, gotErr := DDPFromExposure(expo[c], sizes[c])
+		got, gotErr := DDPFromExposure(expo, sizes)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("cut %d: DDP err %v, DDPFromExposure err %v", cut, wantErr, gotErr)
 		}
 		if wantErr == nil && got != want {
 			t.Errorf("cut %d: DDPFromExposure %v != DDP %v (not bit-identical)", cut, got, want)
 		}
-		ExposurePerCapitaInto(expo[c], sizes[c], pc)
+		ExposurePerCapitaInto(expo, sizes, pc)
 		got2, err2 := DDPFromPerCapita(pc)
 		if (wantErr == nil) != (err2 == nil) {
 			t.Fatalf("cut %d: DDP err %v, DDPFromPerCapita err %v", cut, wantErr, err2)

@@ -16,19 +16,8 @@ import (
 // close (floating-point addition is order-sensitive; the order here is
 // identical by construction).
 
-// PrefixCentroid returns the fairness centroid of order[:cut] for every
-// cut in cuts (ascending, each in [1, len(order)]), as one row per cut.
-func PrefixCentroid(d *dataset.Dataset, order []int, cuts []int) [][]float64 {
-	dims := d.NumFair()
-	flat := PrefixCentroidInto(d, order, cuts, make([]float64, dims), make([]float64, len(cuts)*dims))
-	out := make([][]float64, len(cuts))
-	for c := range out {
-		out[c] = flat[c*dims : (c+1)*dims]
-	}
-	return out
-}
-
-// PrefixCentroidInto is the in-place variant of PrefixCentroid: sum is a
+// PrefixCentroidInto computes the fairness centroid of order[:cut] for
+// every cut in cuts (ascending, each in [1, len(order)]): sum is a
 // running-sum scratch of length NumFair and dst receives the centroid rows
 // flattened (row c at dst[c*dims:(c+1)*dims], length len(cuts)*NumFair).
 // It allocates nothing and returns dst. Each row is bit-identical to
@@ -55,22 +44,10 @@ func PrefixCentroidInto(d *dataset.Dataset, order []int, cuts []int, sum, dst []
 	return dst
 }
 
-// PrefixGroupCounts returns, for every cut in cuts (ascending), the number
-// of objects in order[:cut] belonging to each binary fairness group
-// (attribute value > 0.5), as one row per cut.
-func PrefixGroupCounts(d *dataset.Dataset, order []int, cuts []int) [][]int {
-	dims := d.NumFair()
-	flat := PrefixGroupCountsInto(d, order, cuts, make([]int, len(cuts)*dims))
-	out := make([][]int, len(cuts))
-	for c := range out {
-		out[c] = flat[c*dims : (c+1)*dims]
-	}
-	return out
-}
-
-// PrefixGroupCountsInto is the in-place variant of PrefixGroupCounts: dst
-// receives the count rows flattened (row c at dst[c*dims:(c+1)*dims]). It
-// allocates nothing and returns dst. Counts are integers, so exactness
+// PrefixGroupCountsInto counts, for every cut in cuts (ascending), the
+// objects in order[:cut] belonging to each binary fairness group
+// (attribute value > 0.5): dst receives the count rows flattened (row c at
+// dst[c*dims:(c+1)*dims]). It allocates nothing and returns dst. Counts are integers, so exactness
 // needs no fold argument.
 func PrefixGroupCountsInto(d *dataset.Dataset, order []int, cuts []int, dst []int) []int {
 	dims := d.NumFair()
@@ -98,25 +75,11 @@ func PrefixGroupCountsInto(d *dataset.Dataset, order []int, cuts []int, dst []in
 	return dst
 }
 
-// PrefixFPCounts returns, for every cut in cuts (ascending), the number of
+// PrefixFPCountsInto counts, for every cut in cuts (ascending), the
 // "false positives" in order[:cut] — selected objects whose ground-truth
-// outcome is false — per binary fairness group (rows) and overall (all).
-// The dataset must carry outcomes.
-func PrefixFPCounts(d *dataset.Dataset, order []int, cuts []int) (rows [][]int, all []int) {
-	dims := d.NumFair()
-	flat := make([]int, len(cuts)*dims)
-	all = make([]int, len(cuts))
-	PrefixFPCountsInto(d, order, cuts, flat, all)
-	rows = make([][]int, len(cuts))
-	for c := range rows {
-		rows[c] = flat[c*dims : (c+1)*dims]
-	}
-	return rows, all
-}
-
-// PrefixFPCountsInto is the in-place variant of PrefixFPCounts: dst
-// receives the per-group false-positive rows flattened, dstAll (length
-// len(cuts)) the overall counts. It allocates nothing.
+// outcome is false — per binary fairness group and overall: dst receives
+// the per-group rows flattened, dstAll (length len(cuts)) the overall
+// counts. The dataset must carry outcomes. It allocates nothing.
 func PrefixFPCountsInto(d *dataset.Dataset, order []int, cuts []int, dst, dstAll []int) {
 	dims := d.NumFair()
 	prev := 0
@@ -149,14 +112,9 @@ func PrefixFPCountsInto(d *dataset.Dataset, order []int, cuts []int, dst, dstAll
 	}
 }
 
-// PrefixDCG returns the discounted cumulative gain of order[:cut] for every
-// cut in cuts (ascending): dst[c] = DCG(gains, order, cuts[c]).
-func PrefixDCG(gains []float64, order []int, cuts []int) []float64 {
-	return PrefixDCGInto(gains, order, cuts, make([]float64, len(cuts)))
-}
-
-// PrefixDCGInto is the in-place variant of PrefixDCG: dst (length
-// len(cuts)) receives the DCG values. It allocates nothing and returns
+// PrefixDCGInto computes the discounted cumulative gain of order[:cut]
+// for every cut in cuts (ascending): dst (length len(cuts)) receives
+// dst[c] = DCG(gains, order, cuts[c]). It allocates nothing and returns
 // dst. Each value is bit-identical to DCG(gains, order, cuts[c]): the
 // running sum is the same fold, resumed across segments.
 func PrefixDCGInto(gains []float64, order []int, cuts []int, dst []float64) []float64 {

@@ -35,12 +35,13 @@ func prefixTestDataset(t *testing.T, n int, seed int64) (*dataset.Dataset, []int
 func TestPrefixCentroidBitIdentical(t *testing.T) {
 	d, order := prefixTestDataset(t, 400, 1)
 	cuts := []int{1, 2, 37, 38, 200, 399, 400}
-	rows := PrefixCentroid(d, order, cuts)
+	dims := d.NumFair()
+	rows := PrefixCentroidInto(d, order, cuts, make([]float64, dims), make([]float64, len(cuts)*dims))
 	for c, cut := range cuts {
 		want := d.FairCentroidOf(order[:cut])
 		for j := range want {
-			if rows[c][j] != want[j] {
-				t.Errorf("cut %d dim %d: prefix %v != pointwise %v", cut, j, rows[c][j], want[j])
+			if got := rows[c*dims+j]; got != want[j] {
+				t.Errorf("cut %d dim %d: prefix %v != pointwise %v", cut, j, got, want[j])
 			}
 		}
 	}
@@ -49,9 +50,10 @@ func TestPrefixCentroidBitIdentical(t *testing.T) {
 func TestPrefixGroupCountsMatchesScan(t *testing.T) {
 	d, order := prefixTestDataset(t, 300, 2)
 	cuts := []int{1, 5, 150, 300}
-	rows := PrefixGroupCounts(d, order, cuts)
+	dims := d.NumFair()
+	rows := PrefixGroupCountsInto(d, order, cuts, make([]int, len(cuts)*dims))
 	for c, cut := range cuts {
-		for j := 0; j < d.NumFair(); j++ {
+		for j := 0; j < dims; j++ {
 			col := d.FairColumn(j)
 			want := 0
 			for _, i := range order[:cut] {
@@ -59,8 +61,8 @@ func TestPrefixGroupCountsMatchesScan(t *testing.T) {
 					want++
 				}
 			}
-			if rows[c][j] != want {
-				t.Errorf("cut %d dim %d: prefix count %d != %d", cut, j, rows[c][j], want)
+			if got := rows[c*dims+j]; got != want {
+				t.Errorf("cut %d dim %d: prefix count %d != %d", cut, j, got, want)
 			}
 		}
 	}
@@ -69,7 +71,9 @@ func TestPrefixGroupCountsMatchesScan(t *testing.T) {
 func TestPrefixFPCountsMatchesScan(t *testing.T) {
 	d, order := prefixTestDataset(t, 300, 3)
 	cuts := []int{1, 7, 144, 300}
-	rows, all := PrefixFPCounts(d, order, cuts)
+	dims := d.NumFair()
+	rows, all := make([]int, len(cuts)*dims), make([]int, len(cuts))
+	PrefixFPCountsInto(d, order, cuts, rows, all)
 	for c, cut := range cuts {
 		wantAll := 0
 		for _, i := range order[:cut] {
@@ -80,7 +84,7 @@ func TestPrefixFPCountsMatchesScan(t *testing.T) {
 		if all[c] != wantAll {
 			t.Errorf("cut %d: overall FP count %d != %d", cut, all[c], wantAll)
 		}
-		for j := 0; j < d.NumFair(); j++ {
+		for j := 0; j < dims; j++ {
 			col := d.FairColumn(j)
 			want := 0
 			for _, i := range order[:cut] {
@@ -88,8 +92,8 @@ func TestPrefixFPCountsMatchesScan(t *testing.T) {
 					want++
 				}
 			}
-			if rows[c][j] != want {
-				t.Errorf("cut %d dim %d: FP count %d != %d", cut, j, rows[c][j], want)
+			if got := rows[c*dims+j]; got != want {
+				t.Errorf("cut %d dim %d: FP count %d != %d", cut, j, got, want)
 			}
 		}
 	}
@@ -102,7 +106,7 @@ func TestPrefixDCGBitIdentical(t *testing.T) {
 		gains[i] = d.Score(i, 0)
 	}
 	cuts := []int{1, 3, 99, 100, 101, 499, 500}
-	got := PrefixDCG(gains, order, cuts)
+	got := PrefixDCGInto(gains, order, cuts, make([]float64, len(cuts)))
 	for c, cut := range cuts {
 		want := DCG(gains, order, cut)
 		if got[c] != want {
@@ -112,7 +116,7 @@ func TestPrefixDCGBitIdentical(t *testing.T) {
 }
 
 // TestPrefixDCGPairBitIdentical pins the fused two-order fold to
-// PrefixDCG on each order alone: the base order and its reverse.
+// PrefixDCGInto on each order alone: the base order and its reverse.
 func TestPrefixDCGPairBitIdentical(t *testing.T) {
 	d, order := prefixTestDataset(t, 500, 4)
 	gains := make([]float64, d.N())
@@ -124,10 +128,11 @@ func TestPrefixDCGPairBitIdentical(t *testing.T) {
 	cuts := []int{1, 3, 99, 100, 101, 499, 500}
 	gotA, gotB := make([]float64, len(cuts)), make([]float64, len(cuts))
 	PrefixDCGPairInto(gains, rev, order, cuts, gotA, gotB)
-	wantA, wantB := PrefixDCG(gains, rev, cuts), PrefixDCG(gains, order, cuts)
+	wantA := PrefixDCGInto(gains, rev, cuts, make([]float64, len(cuts)))
+	wantB := PrefixDCGInto(gains, order, cuts, make([]float64, len(cuts)))
 	for c, cut := range cuts {
 		if math.Float64bits(gotA[c]) != math.Float64bits(wantA[c]) || math.Float64bits(gotB[c]) != math.Float64bits(wantB[c]) {
-			t.Errorf("cut %d: pair DCG (%v, %v) != PrefixDCG (%v, %v)", cut, gotA[c], gotB[c], wantA[c], wantB[c])
+			t.Errorf("cut %d: pair DCG (%v, %v) != PrefixDCGInto (%v, %v)", cut, gotA[c], gotB[c], wantA[c], wantB[c])
 		}
 	}
 }
@@ -137,7 +142,7 @@ func TestImpactFromCountsMatchesWithin(t *testing.T) {
 	all := allIndices(d.N())
 	for _, cut := range []int{1, 10, 125, 250} {
 		want := DisparateImpactWithin(d, all, order[:cut])
-		counts := PrefixGroupCounts(d, order, []int{cut})[0]
+		counts := PrefixGroupCountsInto(d, order, []int{cut}, make([]int, d.NumFair()))
 		for j := 0; j < d.NumFair(); j++ {
 			totWith := d.GroupSize(j)
 			got := ImpactFromCounts(counts[j], totWith, cut-counts[j], d.N()-totWith)

@@ -32,7 +32,7 @@ const DefaultMargins = 5
 // O(population) memory in a serving-layer cache.
 const MaxBeneficiaryIDs = 2048
 
-// BundleConfig parameterizes BuildBundle.
+// BundleConfig parameterizes BuildBundleCtx.
 type BundleConfig struct {
 	// Dataset names the audited population in the bundle metadata (the
 	// evaluator itself carries no name).
@@ -91,7 +91,7 @@ type MarginLine struct {
 // or applicant needs to verify a published bonus-point policy — the
 // cutoff, the policy itself with per-group effects and attribution, the
 // beneficiary and displaced lists, and exact counterfactual margins around
-// the cutoff. Build one with BuildBundle; render it with RenderJSON,
+// the cutoff. Build one with BuildBundleCtx; render it with RenderJSON,
 // RenderCSV, RenderMarkdown, or the format-dispatching Render.
 type Bundle struct {
 	Version  string  `json:"version"`
@@ -152,16 +152,11 @@ type ExposureSection struct {
 	BaseDDP       float64   `json:"base_ddp"`
 }
 
-// BuildBundle assembles the audit bundle for a bonus policy at fraction k
-// from one evaluator: the transparency report (cutoff, counts,
+// BuildBundleCtx assembles the audit bundle for a bonus policy at
+// fraction k from one evaluator: the transparency report (cutoff, counts,
 // beneficiaries), the leave-one-out attribution, nDCG, and counterfactual
-// margins for the boundary window. It is BuildBundleStats (one shared
+// margins for the boundary window. It is BuildBundleStatsCtx (one shared
 // rank-once BundleData pass) followed by FromStats (presentation).
-func BuildBundle(ev *core.Evaluator, cfg BundleConfig) (*Bundle, error) {
-	return BuildBundleCtx(context.Background(), ev, cfg)
-}
-
-// BuildBundleCtx is BuildBundle with cooperative cancellation.
 func BuildBundleCtx(ctx context.Context, ev *core.Evaluator, cfg BundleConfig) (*Bundle, error) {
 	st, err := BuildBundleStatsCtx(ctx, ev, cfg)
 	if err != nil {
@@ -170,21 +165,16 @@ func BuildBundleCtx(ctx context.Context, ev *core.Evaluator, cfg BundleConfig) (
 	return FromStats(ev, cfg.Dataset, st), nil
 }
 
-// BuildBundleStats validates an audit request and runs the rank-once
-// BundleData pass behind BuildBundle, returning the raw quantities.
+// BuildBundleStatsCtx validates an audit request and runs the rank-once
+// BundleData pass behind BuildBundleCtx, returning the raw quantities.
 // Callers that need more than the rendered bundle — the service reuses
 // the margin counterfactuals to seed its per-object cache — build the
 // stats once and derive both views from them. Validation happens before
 // any computation: an empty dataset, a missing or all-zero bonus policy,
 // a dimensionality mismatch, a bad fraction, negative margins, and an FPR
-// request without outcomes are all rejected.
-func BuildBundleStats(ev *core.Evaluator, cfg BundleConfig) (*core.BundleStats, error) {
-	return BuildBundleStatsCtx(context.Background(), ev, cfg)
-}
-
-// BuildBundleStatsCtx is BuildBundleStats with cooperative cancellation:
-// once ctx is done the shared BundleData pass aborts at its next
-// checkpoint and the context's error is returned.
+// request without outcomes are all rejected. Once ctx is done the shared
+// BundleData pass aborts at its next checkpoint and the context's error
+// is returned.
 func BuildBundleStatsCtx(ctx context.Context, ev *core.Evaluator, cfg BundleConfig) (*core.BundleStats, error) {
 	margins, err := ValidateBundleConfig(ev, cfg)
 	if err != nil {

@@ -73,7 +73,7 @@ func TestBuildBundleErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := BuildBundle(tc.ev, tc.cfg)
+			_, err := BuildBundleCtx(t.Context(), tc.ev, tc.cfg)
 			if err == nil {
 				t.Fatalf("BuildBundle accepted %+v", tc.cfg)
 			}
@@ -92,14 +92,14 @@ func TestBuildBundleContents(t *testing.T) {
 	ev := auditEvaluator(t, d)
 	bonus := []float64{5, 3}
 	const k = 0.1
-	b, err := BuildBundle(ev, BundleConfig{Dataset: "aud", Bonus: bonus, K: k, Margins: 4, IncludeFPR: true})
+	b, err := BuildBundleCtx(t.Context(), ev, BundleConfig{Dataset: "aud", Bonus: bonus, K: k, Margins: 4, IncludeFPR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Version != BundleVersion || b.Dataset != "aud" || b.N != 800 || b.Polarity != "beneficial" {
 		t.Errorf("metadata = %+v", b)
 	}
-	exp, err := ev.Explain(bonus, k)
+	exp, err := ev.ExplainCtx(t.Context(), bonus, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestBuildBundleContents(t *testing.T) {
 func TestBundleMarginWindowClamped(t *testing.T) {
 	d := auditDataset(t, 20, false)
 	ev := auditEvaluator(t, d)
-	b, err := BuildBundle(ev, BundleConfig{Dataset: "tiny", Bonus: []float64{2, 1}, K: 0.5, Margins: 50})
+	b, err := BuildBundleCtx(t.Context(), ev, BundleConfig{Dataset: "tiny", Bonus: []float64{2, 1}, K: 0.5, Margins: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestBundleBeneficiaryListsCapped(t *testing.T) {
 	d := auditDataset(t, 12000, false)
 	ev := auditEvaluator(t, d)
 	// A heavy-handed policy at a wide selection flips thousands of objects.
-	b, err := BuildBundle(ev, BundleConfig{Dataset: "big", Bonus: []float64{30, 30}, K: 0.5, Margins: 1})
+	b, err := BuildBundleCtx(t.Context(), ev, BundleConfig{Dataset: "big", Bonus: []float64{30, 30}, K: 0.5, Margins: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ev.Explain([]float64{30, 30}, 0.5)
+	exp, err := ev.ExplainCtx(t.Context(), []float64{30, 30}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestBundleBeneficiaryListsCapped(t *testing.T) {
 func TestBundleInfeasibleMargins(t *testing.T) {
 	d := auditDataset(t, 30, false)
 	ev := auditEvaluator(t, d)
-	b, err := BuildBundle(ev, BundleConfig{Dataset: "full", Bonus: []float64{2, 1}, K: 1, Margins: 2})
+	b, err := BuildBundleCtx(t.Context(), ev, BundleConfig{Dataset: "full", Bonus: []float64{2, 1}, K: 1, Margins: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestBundleInfeasibleMargins(t *testing.T) {
 func TestBundleRenderJSONRoundTrip(t *testing.T) {
 	d := auditDataset(t, 400, true)
 	ev := auditEvaluator(t, d)
-	b, err := BuildBundle(ev, BundleConfig{Dataset: "aud", Bonus: []float64{5, 3}, K: 0.1, IncludeFPR: true})
+	b, err := BuildBundleCtx(t.Context(), ev, BundleConfig{Dataset: "aud", Bonus: []float64{5, 3}, K: 0.1, IncludeFPR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestBundleRenderJSONRoundTrip(t *testing.T) {
 func TestBundleRenderCSV(t *testing.T) {
 	d := auditDataset(t, 400, true)
 	ev := auditEvaluator(t, d)
-	b, err := BuildBundle(ev, BundleConfig{Dataset: "aud", Bonus: []float64{5, 3}, K: 0.1, IncludeFPR: true})
+	b, err := BuildBundleCtx(t.Context(), ev, BundleConfig{Dataset: "aud", Bonus: []float64{5, 3}, K: 0.1, IncludeFPR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestBundleRenderCSV(t *testing.T) {
 func TestBundleRenderMarkdown(t *testing.T) {
 	d := auditDataset(t, 400, false)
 	ev := auditEvaluator(t, d)
-	b, err := BuildBundle(ev, BundleConfig{Dataset: "aud", Bonus: []float64{5, 3}, K: 0.1})
+	b, err := BuildBundleCtx(t.Context(), ev, BundleConfig{Dataset: "aud", Bonus: []float64{5, 3}, K: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestBundleRenderMarkdown(t *testing.T) {
 func TestBundleRenderDispatch(t *testing.T) {
 	d := auditDataset(t, 100, false)
 	ev := auditEvaluator(t, d)
-	b, err := BuildBundle(ev, BundleConfig{Dataset: "aud", Bonus: []float64{2, 1}, K: 0.2})
+	b, err := BuildBundleCtx(t.Context(), ev, BundleConfig{Dataset: "aud", Bonus: []float64{2, 1}, K: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

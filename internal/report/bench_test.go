@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -56,11 +57,11 @@ func BenchmarkBuildBundle80k(b *testing.B) {
 		// A plan on another vector replaces the evaluator's ranked-order
 		// memo, so every op ranks its bonus cold.
 		b.StopTimer()
-		if _, err := ev.Disparity(evict, 0.001); err != nil {
+		if _, err := ev.DisparityCtx(context.Background(), evict, 0.001); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := BuildBundle(ev, cfg); err != nil {
+		if _, err := BuildBundleCtx(context.Background(), ev, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

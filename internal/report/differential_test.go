@@ -21,7 +21,7 @@ func pointwiseBundle(t testing.TB, ev *core.Evaluator, cfg BundleConfig) *Bundle
 	if margins == 0 {
 		margins = DefaultMargins
 	}
-	exp, err := ev.Explain(cfg.Bonus, cfg.K)
+	exp, err := ev.ExplainCtx(t.Context(), cfg.Bonus, cfg.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func pointwiseBundle(t testing.TB, ev *core.Evaluator, cfg BundleConfig) *Bundle
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndcg, err := ev.NDCG(cfg.Bonus, cfg.K)
+	ndcg, err := ev.NDCGCtx(t.Context(), cfg.Bonus, cfg.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func pointwiseBundle(t testing.TB, ev *core.Evaluator, cfg BundleConfig) *Bundle
 		t.Fatal(err)
 	}
 	window := order[lo:hi]
-	cfs, err := ev.CounterfactualBatch(cfg.Bonus, cfg.K, window)
+	cfs, err := ev.CounterfactualBatchCtx(t.Context(), cfg.Bonus, cfg.K, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestBuildBundleBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := auditDataset(t, tc.n, tc.outcomes)
 			ev := auditEvaluator(t, d)
-			got, err := BuildBundle(ev, tc.cfg)
+			got, err := BuildBundleCtx(t.Context(), ev, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestBuildBundleRankingBudget80k(t *testing.T) {
 		t.Fatal("school cohort built no combo runs; merge path unavailable")
 	}
 	beforeRank, beforeMerge := ev.RankingCount(), ev.MergeCount()
-	if _, err := BuildBundle(ev, BundleConfig{
+	if _, err := BuildBundleCtx(t.Context(), ev, BundleConfig{
 		Dataset: "school",
 		Bonus:   []float64{2, 11, 10.5, 12.5},
 		K:       0.05,

@@ -3,12 +3,12 @@
 // print the paper's tables and figure data, and the versioned audit
 // bundles that publish a bonus-point policy.
 //
-// An audit bundle (Bundle, built by BuildBundle from a core.Evaluator) is
-// the paper's transparency argument made operational: the published
-// cutoff, every attribute's bonus points with its selection effect and
-// leave-one-out share of the disparity reduction, the beneficiary and
-// displaced lists, and exact counterfactual margins for the objects at
-// the cutoff. Bundles render as JSON (archival), sectioned CSV
-// (spreadsheet tooling), or Markdown (the policy document), and carry a
-// schema version so archived bundles stay interpretable.
+// An audit bundle (Bundle, built by BuildBundleCtx from a
+// core.Evaluator) is the paper's transparency argument made operational:
+// the published cutoff, every attribute's bonus points with its selection
+// effect and leave-one-out share of the disparity reduction, the
+// beneficiary and displaced lists, and exact counterfactual margins for
+// the objects at the cutoff. Bundles render as JSON (archival), sectioned
+// CSV (spreadsheet tooling), or Markdown (the policy document), and carry
+// a schema version so archived bundles stay interpretable.
 package report

@@ -37,7 +37,7 @@ func goldenBundles(t *testing.T) map[string]*Bundle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := BuildBundle(auditEvaluator(t, d), BundleConfig{
+	bundle, err := BuildBundleCtx(t.Context(), auditEvaluator(t, d), BundleConfig{
 		Dataset:         "no-changes",
 		Bonus:           []float64{0.25, 0.25},
 		K:               0.5,
@@ -55,7 +55,7 @@ func goldenBundles(t *testing.T) map[string]*Bundle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob, err := BuildBundle(auditEvaluator(t, od), BundleConfig{
+	ob, err := BuildBundleCtx(t.Context(), auditEvaluator(t, od), BundleConfig{
 		Dataset: "singleton",
 		Bonus:   []float64{1, 1},
 		K:       1,

@@ -114,7 +114,7 @@ func (r TrainRequest) normalize() (*trainParams, error) {
 	}
 	// Canonicalize fields the chosen mode ignores, so equal what-ifs
 	// share one cache entry: "whole" trains on the entire population
-	// (sample size and refinement are overridden by TrainFull), "core"
+	// (sample size and refinement are overridden by TrainFullCtx), "core"
 	// skips refinement.
 	zero := 0
 	switch p.mode {

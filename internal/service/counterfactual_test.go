@@ -31,7 +31,7 @@ func TestCounterfactualMatchesCore(t *testing.T) {
 		t.Fatalf("shape: %d results, %d cached", len(resp.Results), resp.CachedObjects)
 	}
 	e, _ := s.reg.Get("school")
-	want, err := e.eval.CounterfactualBatch(bonus, 0.05, objs)
+	want, err := e.eval.CounterfactualBatchCtx(t.Context(), bonus, 0.05, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestReportEndpointFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := s.reg.Get("school")
-	want, err := report.BuildBundle(e.eval, report.BundleConfig{
+	want, err := report.BuildBundleCtx(t.Context(), e.eval, report.BundleConfig{
 		Dataset: "school", Bonus: []float64{2, 10.5, 9, 12}, K: 0.05})
 	if err != nil {
 		t.Fatal(err)

@@ -197,20 +197,11 @@ func (s *Server) runTrain(ctx context.Context, e *Entry, p *trainParams, key str
 		return TrainResponse{}, pipelineErr(err, http.StatusBadRequest)
 	}
 
-	// The baseline disparity depends only on (dataset, k), not on the
-	// trained vector — memoize it in the same bounded LRU so iterative
-	// what-if sessions at one k don't repay a full-population ranking per
-	// request. Handlers only read the cached slice.
-	beforeKey := fmt.Sprintf("before|%s|%g", p.req.Dataset, p.req.K)
-	var before []float64
-	if v, ok := s.cache.get(beforeKey); ok {
-		before = v.([]float64)
-	} else {
-		before, err = e.eval.DisparityCtx(ctx, nil, p.req.K)
-		if err != nil {
-			return TrainResponse{}, pipelineErr(fmt.Errorf("evaluating trained vector: %w", err), http.StatusInternalServerError)
-		}
-		s.cache.put(beforeKey, before)
+	// A zero bonus reads the evaluator's cached base order, so the
+	// baseline disparity ranks nothing.
+	before, err := e.eval.DisparityCtx(ctx, nil, p.req.K)
+	if err != nil {
+		return TrainResponse{}, pipelineErr(fmt.Errorf("evaluating trained vector: %w", err), http.StatusInternalServerError)
 	}
 	// Both diagnostics of the trained vector come from one ranked pass.
 	ans, err := s.answer(ctx, e, res.Bonus, []core.BatchQuery{
@@ -604,7 +595,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if margins == 0 {
-		// BuildBundle maps 0 to the default; normalize before keying so an
+		// BuildBundleCtx maps 0 to the default; normalize before keying so an
 		// absent param and an explicit default share one cache entry.
 		margins = report.DefaultMargins
 	}
@@ -707,7 +698,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // bundleStats validates an audit request exactly as
-// report.BuildBundleStats does, then answers it as one BatchBundle query.
+// report.BuildBundleStatsCtx does, then answers it as one BatchBundle query.
 func (s *Server) bundleStats(ctx context.Context, e *Entry, cfg report.BundleConfig) (*core.BundleStats, error) {
 	margins, err := report.ValidateBundleConfig(e.eval, cfg)
 	if err != nil {
@@ -731,7 +722,7 @@ func (s *Server) bundleStats(ctx context.Context, e *Entry, cfg report.BundleCon
 // cache, under exactly the keys POST /v1/counterfactual would use. A
 // follow-up counterfactual request for a boundary object under the same
 // (dataset, bonus, k) is then answered without any ranking: the report
-// and counterfactual endpoints share one cached BundleStats pass wherever
+// and counterfactual endpoints share one cached BundleStatsCtx pass wherever
 // their keys coincide. Rows already cached are left alone — both paths
 // compute bit-identical answers, so overwriting would only churn the LRU.
 func (s *Server) seedMarginCounterfactuals(e *Entry, bonus []float64, k float64, margins []core.Counterfactual) {

@@ -56,7 +56,7 @@ func TestReportCounterfactualSharedBundleStats(t *testing.T) {
 	}
 	// The seeded rows must be exactly what the counterfactual engine
 	// would compute.
-	want, err := e.eval.CounterfactualBatch(bonusVec, 0.05, window)
+	want, err := e.eval.CounterfactualBatchCtx(t.Context(), bonusVec, 0.05, window)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // DefaultCacheSize is the default entry capacity of the server's one LRU,
-// which holds train results, sweep rows, counterfactual rows, audit
-// bundles and baseline disparities alike.
+// which holds train results, sweep rows, counterfactual rows and audit
+// bundles alike.
 const DefaultCacheSize = 1024
 
 // Timeouts carries the per-endpoint request deadlines. A zero field means

@@ -247,10 +247,10 @@ func TestTrainCache(t *testing.T) {
 	if first.Cached {
 		t.Error("first request served from cache")
 	}
-	// One train populates two entries: the result and the memoized
-	// baseline disparity for (dataset, k).
-	if s.cache.len() != 2 {
-		t.Errorf("cache has %d entries, want 2", s.cache.len())
+	// One train populates one entry: its result. The baseline disparity
+	// reads the evaluator's cached base order and is not cached.
+	if s.cache.len() != 1 {
+		t.Errorf("cache has %d entries, want 1", s.cache.len())
 	}
 	if code, body := postJSON(t, ts.URL+"/v1/train", req, &second); code != 200 {
 		t.Fatalf("%d %s", code, body)

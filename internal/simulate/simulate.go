@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -174,11 +175,11 @@ func Run(gen CohortGenerator, scorer rank.Scorer, policies []Policy, years int, 
 			if err != nil {
 				return nil, fmt.Errorf("simulate: year %d policy %s: %w", year, p.PolicyName(), err)
 			}
-			disp, err := ev.Disparity(bonus, k)
+			disp, err := ev.DisparityCtx(context.Background(), bonus, k)
 			if err != nil {
 				return nil, err
 			}
-			ndcg, err := ev.NDCG(bonus, k)
+			ndcg, err := ev.NDCGCtx(context.Background(), bonus, k)
 			if err != nil {
 				return nil, err
 			}

@@ -34,11 +34,11 @@ func TestSchoolDriftApplies(t *testing.T) {
 	scorer := rank.WeightedSum{Weights: synth.SchoolScoreWeights()}
 	ev0 := core.NewEvaluator(y0, scorer, rank.Beneficial)
 	ev5 := core.NewEvaluator(y5, scorer, rank.Beneficial)
-	d0, err := ev0.Disparity(nil, 0.05)
+	d0, err := ev0.DisparityCtx(t.Context(), nil, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d5, err := ev5.Disparity(nil, 0.05)
+	d5, err := ev5.DisparityCtx(t.Context(), nil, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
