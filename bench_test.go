@@ -173,6 +173,69 @@ func BenchmarkWhatIfSession80k(b *testing.B) {
 	}
 }
 
+// portalPolicies are the four policies perfbench's portal publishes.
+var portalPolicies = [][]float64{{2, 10.5, 9, 12}, {1.5, 10, 8.5, 11.5}, {2.5, 11, 9.5, 12.5}, {0, 8, 8, 10}}
+
+// portalAsker builds an evaluator on the 80k school cohort and returns it
+// with the portal's question i: one applicant's counterfactual at k=0.05
+// under policy i mod 4.
+func portalAsker(b *testing.B) (*fairrank.Evaluator, func(i int)) {
+	d, err := fairrank.GenerateSchool(fairrank.DefaultSchoolConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := fairrank.NewEvaluator(d, fairrank.WeightedSum{Weights: fairrank.SchoolScoreWeights()}, fairrank.Beneficial)
+	return ev, func(i int) {
+		obj := (i * 7919) % d.N()
+		if _, err := ev.CounterfactualBatchCtx(context.Background(), portalPolicies[i%len(portalPolicies)], 0.05, []int{obj}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPortalCounterfactuals80k is a portal's cache-miss path on the
+// 80k school cohort, in process: each op is one applicant's
+// counterfactual at k=0.05 under one of four published policies, taken in
+// turn. After one merge per policy (before the timer), every op reads its
+// policy's ranked prefix from the evaluator's ranked-order memo and looks
+// up the applicant's rank run by run.
+func BenchmarkPortalCounterfactuals80k(b *testing.B) {
+	_, ask := portalAsker(b)
+	for i := range portalPolicies {
+		ask(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ask(i)
+	}
+}
+
+// BenchmarkPortalBesideWhatIf80k is the portal's traffic on an evaluator
+// a what-if client shares: each op asks one counterfactual under each
+// policy, then ranks a never-seen bonus vector in full (a disparity at
+// k=1). The full order evicts every policy from the ranked-order memo, so
+// each policy merges again, but both kinds of request store their orders
+// in the memo's one arena: B/op shows no n-sized (320 KB) allocation.
+func BenchmarkPortalBesideWhatIf80k(b *testing.B) {
+	ev, ask := portalAsker(b)
+	op := func(i int) {
+		for q := range portalPolicies {
+			ask(len(portalPolicies)*i + q)
+		}
+		whatIf := []float64{1, 2, 3, 4 + 0.001*float64(i)}
+		if _, err := ev.DisparityCtx(context.Background(), whatIf, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		op(i)
+	}
+}
+
 // Ensemble training cost (the engine's concurrent evaluation layer: one
 // workspace per worker goroutine, shared base scores).
 

@@ -462,14 +462,10 @@ func (p *plan) pass(ctx context.Context, ws *engine.Workspace) error {
 		q, g := &p.qs[i], &p.geom[i]
 		switch q.Kind {
 		case BatchCounterfactual:
-			// A merged pass answers objects through the per-run rank
-			// lookups (the scratch retains the merge offsets); the full
+			// A merged pass (a merged prefix, or the memo's copy of one)
+			// answers objects through per-run rank lookups; the full
 			// order answers them by inverting the permutation.
-			cfs, ok := e.counterfactualsWS(ws, order, eff, p.bonus, merged, g.cnt, q.Objects)
-			if !ok {
-				return fmt.Errorf("core: batch rank lookup failed after a validated merge")
-			}
-			p.ans[i].Counterfactuals = cfs
+			p.ans[i].Counterfactuals = e.counterfactualsWS(ws, order, eff, merged, g.cnt, q.Objects)
 		case BatchBundle:
 			p.ans[i].Bundle, p.ans[i].Err = e.bundleWS(ws, order, eff, q.Bundle, g)
 		case BatchExplain:

@@ -169,7 +169,7 @@ func (e *Evaluator) bundleWS(ws *engine.Workspace, order []int, eff []float64, c
 	}
 	if cfg.Margins > 0 {
 		lo, hi := max(cnt-cfg.Margins, 0), min(cnt+cfg.Margins, e.d.N())
-		st.Margins, _ = e.counterfactualsWS(ws, order, eff, nil, false, cnt, order[lo:hi])
+		st.Margins = e.counterfactualsWS(ws, order, eff, false, cnt, order[lo:hi])
 	}
 	return st, nil
 }

@@ -106,9 +106,10 @@ func (e *Evaluator) checkBonusDims(bonus []float64) error {
 // runs over float64 bit patterns, so the returned delta is the smallest
 // representable change that flips the selection. The only allocations
 // are the one-query plan, the result slice and one backing array for the
-// per-attribute rows. It is one BatchCounterfactual query. On the combo-run merge route the batch needs
-// no population-wide pass at all: the boundary competitors come off a
-// merged prefix of cnt+1 positions and each object's rank from per-run
+// per-attribute rows. It is one BatchCounterfactual query. On the
+// combo-run merge route the batch needs no population-wide pass at all:
+// the boundary competitors come off a prefix of cnt+1 positions, merged
+// or read from the ranked-order memo, and each object's rank from per-run
 // binary searches; otherwise the plan ranks the full order. The single
 // ranking pass aborts at its next checkpoint once ctx is done and the
 // context's error is returned.
@@ -123,18 +124,18 @@ func (e *Evaluator) CounterfactualBatchCtx(ctx context.Context, bonus []float64,
 // competitors (positions cnt-1 and, when cnt < n, cnt). Each object's rank
 // and effective score come from one of two sources:
 //
-//   - merged: per-run binary searches (ComboRuns.RankOf, O(g·log(n/g)) per
-//     object) against the offsets MergeTopKIntoCtx left in the workspace
-//     scratch, under bonus. The rank every run contributes is the count of
-//     members outranking the object under the same total order the full
-//     sort realizes, so an object past the merged prefix gets its exact
-//     rank. ok is false only for non-finite offsets, unreachable after a
-//     merge validated them.
+//   - merged: per-run binary searches (ComboRuns.RankOf,
+//     O(g·log(n/g)) per object) against the run offsets rankedPrefixWS
+//     left in the workspace scratch. The order is then a prefix, merged or
+//     read from the ranked-order memo. The rank every run contributes is
+//     the count of members outranking the object under the same total
+//     order the full sort realizes, so an object past the prefix gets its
+//     exact rank.
 //   - otherwise: the inverse permutation of order, which must then cover
 //     every listed object. objs may alias order (the bundle margin window
 //     passes a slice of it); the inverse is built before any result is
 //     written, and nothing below mutates either buffer.
-func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff, bonus []float64, merged bool, cnt int, objs []int) ([]Counterfactual, bool) {
+func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff []float64, merged bool, cnt int, objs []int) []Counterfactual {
 	n := e.d.N()
 	var inv []int
 	if !merged {
@@ -151,10 +152,7 @@ func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff, bo
 	for r, obj := range objs {
 		cf := Counterfactual{Object: obj, PerAttribute: backing[r*dims : (r+1)*dims : (r+1)*dims]}
 		if merged {
-			var ok bool
-			if cf.Rank, cf.Effective, ok = e.runs.RankOf(obj, bonus, e.pol, ws.Merge()); !ok {
-				return nil, false
-			}
+			cf.Rank, cf.Effective = e.runs.RankOf(obj, ws.Merge())
 		} else {
 			cf.Rank, cf.Effective = inv[obj], eff[obj]
 		}
@@ -175,7 +173,7 @@ func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff, bo
 		e.finishCounterfactual(&cf, sign)
 		out[r] = cf
 	}
-	return out, true
+	return out
 }
 
 // finishCounterfactual computes the minimal flip delta and the

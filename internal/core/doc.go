@@ -40,8 +40,11 @@
 // or full order), and answers each query from that order — metric kinds
 // through one prefix fold and finisher each, counterfactuals,
 // explanations and audit bundles through their own readers of the same
-// order. The plan leaves its order in the evaluator's one-slot memo, so
-// the next request on the same bonus vector reads it instead of ranking.
+// order. The plan leaves its order in the evaluator's ranked-order memo,
+// whose few slots (least recently used evicted) share one arena of at
+// most n positions, so the next request on any recently ranked bonus
+// vector reads it instead of ranking; a counterfactual reads a stored
+// merge-route prefix of cnt+1 positions and looks up each object's rank.
 //
 //   - Pointwise metrics (DisparityCtx, NDCGCtx, DisparateImpact, FPRDiff,
 //     ExposureCtx, ExposureRatioCtx, TopKShareCtx) are one-query plans.

@@ -56,48 +56,100 @@ type Evaluator struct {
 	rankings atomic.Int64
 	merges   atomic.Int64
 
-	// memo is the one-slot ranked-order memo shared across requests, and
-	// memoHits counts the prefix requests it answered with neither a
-	// ranking pass nor a merge.
+	// memo is the ranked-order memo shared across requests, and memoHits
+	// counts the prefix requests it answered with neither a ranking pass
+	// nor a merge.
 	memo     orderMemo
 	memoHits atomic.Int64
 }
 
-// orderMemo holds the leading positions of the most recent ranking a
-// plan's primary pass produced, keyed on the exact bits of its canonical
-// bonus. A stakeholder asks many questions of one bonus vector (a sweep
-// over k, then an audit, counterfactuals and an explanation), and the
-// ranked order answers all of them, so every later request on that
-// vector reads the order instead of ranking it again. The slot is one
-// []int32 of capacity n, allocated on the first write and reused; it is
-// always a copy, never a view of a workspace.
+// memoSlots caps the bonus vectors the ranked-order memo keeps at once. It
+// bounds the memo's linear lookup, not its memory: every slot's positions
+// share one arena of at most n. Eight is twice the four policies the
+// perfbench portal publishes, so a portal's policies keep their slots
+// while as many other vectors (an analyst's or a what-if session's short
+// prefixes) come and go on the same evaluator; a lookup compares at most
+// eight keys of dims floats, which nothing measurable costs next to
+// copying a prefix out.
+const memoSlots = 8
+
+// orderMemo holds the leading positions of the rankings recent plans'
+// primary passes produced, one slot per bonus vector, keyed on the exact
+// bits of its canonical bonus. A stakeholder asks many questions of one
+// bonus vector (a sweep over k, then an audit, counterfactuals and an
+// explanation), and a portal answers every applicant against the same few
+// published policies; the ranked order answers all of them, so every
+// later request on a stored vector reads the order instead of ranking it
+// again.
+//
+// Every slot's positions are a window of one arena, a []int32 that grows
+// (doubling, at most to n) only when the stored prefixes need more room
+// and is never given up: the memo pins at most n positions (4·n bytes,
+// 0.31 MiB on the 80k cohort) whatever the slot count, and a portal's few
+// cnt+1 prefixes pin only about what they hold. A new bonus takes an
+// empty slot or the least recently used one. A slot that needs more
+// positions (a new bonus, or a stored one ranked further) evicts the
+// least recently used others until all fit in n and takes a window at the
+// arena's free tail, packing the survivors to the front first when the
+// tail is short. Once the arena has reached the size a traffic mix needs
+// (a portal's prefixes, a what-if stream's full orders, or both in turn)
+// no request allocates memo memory. A slot is always a copy, never a view
+// of a workspace.
 type orderMemo struct {
 	mu    sync.Mutex
-	bonus []float64
-	ord   []int32
+	clock uint64
+	arena []int32
+	slots [memoSlots]memoSlot
 }
 
-// readWS copies the first p positions of the ranking under bonus into
-// ws.Ord(p) when the slot holds at least that many; a miss leaves the
-// workspace alone.
-func (m *orderMemo) readWS(bonus []float64, p int, ws *engine.Workspace) ([]int, bool) {
+// memoSlot is one stored bonus vector and its ranked prefix, the arena
+// window ord = arena[off : off+len(ord)]. used is the memo clock at its
+// last read or write; 0 marks an empty slot.
+type memoSlot struct {
+	bonus []float64
+	ord   []int32
+	off   int
+	used  uint64
+}
+
+// find returns the slot holding bonus, or nil.
+func (m *orderMemo) find(bonus []float64) *memoSlot {
+	for i := range m.slots {
+		if s := &m.slots[i]; s.used != 0 && sameBits(s.bonus, bonus) {
+			return s
+		}
+	}
+	return nil
+}
+
+// readWS copies the leading positions of the ranking under bonus into ws:
+// want of them when the memo holds that many, else floor of them when it
+// holds at least floor (floor <= want). A miss leaves the workspace alone.
+func (m *orderMemo) readWS(bonus []float64, want, floor int, ws *engine.Workspace) ([]int, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.ord) < p || !sameBits(m.bonus, bonus) {
+	s := m.find(bonus)
+	if s == nil || len(s.ord) < floor {
 		return nil, false
 	}
+	p := floor
+	if len(s.ord) >= want {
+		p = want
+	}
+	m.clock++
+	s.used = m.clock
 	out := ws.Ord(p)
-	for i, id := range m.ord[:p] {
+	for i, id := range s.ord[:p] {
 		out[i] = int(id)
 	}
 	return out, true
 }
 
 // write records order, a leading segment of the ranking under bonus in a
-// population of n: it replaces the slot for a new bonus and extends it
-// when the same bonus was ranked further. Only finite bonuses are kept,
-// since their rankings are total orders whose prefixes every route
-// agrees on.
+// population of n: a new bonus takes an empty slot or the least recently
+// used one, and a stored bonus ranked further is stored again at its new
+// length. Only finite bonuses are kept, since their rankings are total
+// orders whose prefixes every route agrees on.
 func (m *orderMemo) write(bonus []float64, order []int, n int) {
 	for _, b := range bonus {
 		if math.IsNaN(b) || math.IsInf(b, 0) {
@@ -106,16 +158,79 @@ func (m *orderMemo) write(bonus []float64, order []int, n int) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !sameBits(m.bonus, bonus) {
-		m.bonus = append(m.bonus[:0], bonus...)
-		m.ord = m.ord[:0]
+	s := m.find(bonus)
+	if s == nil {
+		s = &m.slots[0]
+		for i := range m.slots {
+			if m.slots[i].used < s.used {
+				s = &m.slots[i]
+			}
+		}
+		s.bonus = append(s.bonus[:0], bonus...)
+		s.ord = nil
 	}
-	if m.ord == nil {
-		m.ord = make([]int32, 0, n)
+	m.clock++
+	s.used = m.clock
+	if len(order) <= len(s.ord) {
+		return
 	}
-	for _, id := range order[min(len(m.ord), len(order)):] {
-		m.ord = append(m.ord, int32(id))
+	m.place(s, len(order), n)
+	for i, id := range order {
+		s.ord[i] = int32(id)
 	}
+}
+
+// place gives slot s a new window of c positions (c <= n) in place of its
+// old one. It evicts the least recently used other slots until they and c
+// fit in n positions, then takes c at the arena's free tail, packing the
+// survivors to the front in arena order when the tail is short and
+// growing the arena when even that leaves too little room.
+func (m *orderMemo) place(s *memoSlot, c, n int) {
+	s.ord = nil
+	for {
+		held := 0
+		var lru *memoSlot
+		for i := range m.slots {
+			if o := &m.slots[i]; len(o.ord) > 0 {
+				held += len(o.ord)
+				if lru == nil || o.used < lru.used {
+					lru = o
+				}
+			}
+		}
+		if held+c <= n {
+			break
+		}
+		*lru = memoSlot{bonus: lru.bonus[:0]}
+	}
+	var buf [memoSlots]*memoSlot
+	live, end := buf[:0], 0
+	for i := range m.slots {
+		if o := &m.slots[i]; len(o.ord) > 0 {
+			live = append(live, o)
+			end = max(end, o.off+len(o.ord))
+		}
+	}
+	if len(m.arena)-end < c {
+		//fairlint:allow rankonce -- orders at most memoSlots memo windows by arena offset, never score data
+		slices.SortFunc(live, func(a, b *memoSlot) int { return a.off - b.off })
+		end = 0
+		for _, o := range live {
+			copy(m.arena[end:], o.ord)
+			o.off = end
+			end += len(o.ord)
+		}
+		if len(m.arena)-end < c {
+			grown := make([]int32, min(n, max(2*len(m.arena), end+c)))
+			copy(grown, m.arena[:end])
+			m.arena = grown
+		}
+		for _, o := range live {
+			o.ord = m.arena[o.off : o.off+len(o.ord) : o.off+len(o.ord)]
+		}
+	}
+	s.off = end
+	s.ord = m.arena[end : end+c : end+c]
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns.
@@ -232,18 +347,25 @@ func (e *Evaluator) mergeEligible(p int) bool {
 
 // rankedPrefixWS is the evaluator's one ranking route. It returns the
 // first p positions of the ranking under bonus (descending effective
-// score, ties by ascending index) — or, when full is set and the route is
-// not the merge, the whole order — using workspace buffers; the result
+// score, ties by ascending index) — or, when full is set and the prefix
+// is not merged, the whole order — using workspace buffers; the result
 // aliases ws (or the cached original order) and must not be retained past
-// the workspace. The route:
+// the workspace. merged reports a p-position prefix on the combo-run
+// route (merged, or read from the memo for a full request); ws.Merge()
+// then holds the bonus's run offsets, against which the caller reads each
+// object's rank through per-run lookups (ComboRuns.RankOf) instead of
+// inverting the order. The route:
 //
 //   - a zero bonus reads the cached uncompensated order for free;
 //   - the ranked-order memo, when it holds the bonus to at least p
-//     positions (all n when full is set): a copy, no ranking at all;
+//     positions: a copy, no ranking at all. A full request takes all n
+//     when the memo holds them; otherwise, when mergeEligible(p) and the
+//     run offsets it prepares are finite, it takes the p-position prefix
+//     as merged, the answer the merge below would give;
 //   - the combo-run merge when mergeEligible(p): O(p log g) pops over the
-//     pre-sorted runs, no population-wide pass at all. merged reports this
-//     route, whose MergeScratch stays live for per-object RankOf lookups;
-//     it declines (and falls through) only for non-finite offsets;
+//     pre-sorted runs, no population-wide pass at all, reported as
+//     merged; it declines (and falls through) only for non-finite
+//     offsets;
 //   - otherwise one scoring pass, then a full sort when full is set (a
 //     counterfactual asks about arbitrary objects) or p covers most of the
 //     population, and a bounded-heap selection of p sorted by the ranking
@@ -273,20 +395,29 @@ func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bo
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	want := p
+	eligible := e.mergeEligible(p)
+	want, floor := p, p
 	if full {
+		// A merged prefix answers a full request only through per-run
+		// rank lookups against the offsets prepared here, so a bonus whose
+		// offsets are not all finite (finite entries can sum to ±Inf)
+		// needs all n positions, from the memo or a full sort.
+		eligible = eligible && e.runs.PrepareOffsets(bonus, e.pol, ws.Merge())
 		want = n
+		if !eligible {
+			floor = n
+		}
 	}
-	if ord, ok := e.memo.readWS(bonus, want, ws); ok {
-		if want == n {
+	if ord, ok := e.memo.readWS(bonus, want, floor, ws); ok {
+		if len(ord) == n {
 			rank.EffectiveScoresEach(e.d, e.base, bonus, e.pol, ws.Eff(n))
 		} else {
 			rank.EffectiveScoresAt(e.d, e.base, ord, bonus, e.pol, ws.Eff(n))
 		}
 		e.memoHits.Add(1)
-		return ord, false, nil
+		return ord, len(ord) < want, nil
 	}
-	if e.mergeEligible(p) {
+	if eligible {
 		pre, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, p, ws.Merge(), ws.Ord(p), ws.Eff(n))
 		if err != nil {
 			return nil, false, err

@@ -8,18 +8,23 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"fairrank/internal/rank"
 	"fairrank/internal/synth"
 )
 
-// forgetOrders empties the ranked-order memo, so the next plan ranks its
-// bonus cold. Benchmarks that repeat one bonus per op call it before each
-// op to keep timing the ranking route they were written for.
+// forgetOrders empties every slot of the ranked-order memo, so the next
+// plan ranks its bonus cold. Benchmarks that repeat one bonus per op call
+// it before each op to keep timing the ranking route they were written
+// for.
 func (e *Evaluator) forgetOrders() {
 	e.memo.mu.Lock()
 	defer e.memo.mu.Unlock()
-	e.memo.bonus, e.memo.ord = e.memo.bonus[:0], e.memo.ord[:0]
+	for i := range e.memo.slots {
+		s := &e.memo.slots[i]
+		s.bonus, s.ord, s.used = s.bonus[:0], nil, 0
+	}
 }
 
 // whatIfSession is the question sequence a stakeholder asks of one bonus
@@ -64,9 +69,9 @@ func runWhatIfSession(t testing.TB, ev *Evaluator, bonus []float64) whatIfSessio
 	return s
 }
 
-// coldWhatIfSession answers the same questions on a fresh evaluator in an
-// order whose every plan asks for more of the ranking than the memo
-// holds, so each question is ranked (or merged) from scratch.
+// coldWhatIfSession answers the same questions on a fresh evaluator,
+// emptying its memo before each, so each question is ranked (or merged)
+// from scratch.
 func coldWhatIfSession(t testing.TB, ev *Evaluator, bonus []float64) whatIfSession {
 	t.Helper()
 	var s whatIfSession
@@ -74,9 +79,11 @@ func coldWhatIfSession(t testing.TB, ev *Evaluator, bonus []float64) whatIfSessi
 	if s.exp, err = ev.ExplainCtx(t.Context(), bonus, 0.05); err != nil {
 		t.Fatal(err)
 	}
+	ev.forgetOrders()
 	if s.bundle, err = ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: bonus, K: 0.05, Margins: 8}); err != nil {
 		t.Fatal(err)
 	}
+	ev.forgetOrders()
 	if s.cfs, err = ev.CounterfactualBatchCtx(t.Context(), bonus, 0.05, sessionObjects(ev.Dataset().N())); err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +175,13 @@ func TestMemoSessionUnindexed(t *testing.T) {
 	}
 }
 
-// TestMemoSlotReplaceAndExtend pins the slot's life cycle through the
-// counters: a plan replaces the slot for a new bonus and extends it when
-// its bonus was ranked further; a shorter request on the stored bonus
-// hits, a full request hits only once all n are stored, and a zero bonus,
-// Select and a bundle's leave-one-out fan never write.
+// TestMemoSlotReplaceAndExtend pins a slot's life cycle through the
+// counters: a plan stores a new bonus and extends it when its bonus was
+// ranked further; a shorter request on the stored bonus hits; a
+// counterfactual hits once the slot holds its merge-eligible prefix of
+// cnt+1 positions; a bonus stored to all n holds the memo's whole budget,
+// so the next new bonus evicts it; and a zero bonus, Select and a
+// bundle's leave-one-out fan never write.
 func TestMemoSlotReplaceAndExtend(t *testing.T) {
 	ev := mergeEvaluator(t, 4000)
 	n := ev.Dataset().N()
@@ -207,19 +216,210 @@ func TestMemoSlotReplaceAndExtend(t *testing.T) {
 	step("Select reads the slot", sel(a), 1)
 	step("longer prefix of a", disp(a, 0.2), 0)
 	step("the extended prefix", disp(a, 0.2), 1)
-	step("full request before a holds n", cf(a), 0)
+	step("counterfactual on a's merged prefix", cf(a), 1)
 	step("sweep to k=1 extends a to n", disp(a, 1), 0)
 	step("full request on a", cf(a), 1)
 	step("zero bonus", disp(nil, 0.05), 0)
 	step("a survives a zero-bonus plan", disp(a, 0.5), 1)
-	step("bundle on b replaces a", func() error {
+	step("bundle on b evicts a, which holds all n", func() error {
 		_, err := ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: b, K: 0.05})
 		return err
 	}, 0)
 	step("b is stored", disp(b, 0.05), 1)
-	step("a was replaced", disp(a, 0.01), 0)
+	step("a was evicted", disp(a, 0.01), 0)
 	loo := []float64{0, 7, 0, 0} // b with its last entry withdrawn
 	step("a leave-one-out vector was never written", disp(loo, 0.01), 0)
+}
+
+// memoPolicies returns m distinct bonus vectors on the paper's 0.5-point
+// grid, shaped like published school policies.
+func memoPolicies(m int) [][]float64 {
+	ps := make([][]float64, m)
+	for i := range ps {
+		ps[i] = []float64{2 + 0.5*float64(i), 10.5, 9, 12}
+	}
+	return ps
+}
+
+// checkMemoBudget fails when the memo's arena is longer than n or a
+// slot's positions are not a window of the arena disjoint from every
+// other slot's.
+func checkMemoBudget(t *testing.T, ev *Evaluator, label string) {
+	t.Helper()
+	ev.memo.mu.Lock()
+	defer ev.memo.mu.Unlock()
+	m := &ev.memo
+	if n := ev.Dataset().N(); len(m.arena) > n {
+		t.Errorf("%s: the arena holds %d positions, more than n = %d", label, len(m.arena), n)
+	}
+	owner := make([]int, len(m.arena))
+	for i := range m.slots {
+		s := &m.slots[i]
+		if len(s.ord) == 0 {
+			continue
+		}
+		if s.off+len(s.ord) > len(m.arena) || unsafe.SliceData(s.ord) != &m.arena[s.off] {
+			t.Errorf("%s: slot %d is not the arena window at %d", label, i, s.off)
+			continue
+		}
+		for q := s.off; q < s.off+len(s.ord); q++ {
+			if owner[q] != 0 {
+				t.Errorf("%s: slots %d and %d share arena position %d", label, owner[q]-1, i, q)
+				break
+			}
+			owner[q] = i + 1
+		}
+	}
+}
+
+// memoArena returns the memo's arena, to tell whether a request grew it.
+func memoArena(ev *Evaluator) []int32 {
+	ev.memo.mu.Lock()
+	defer ev.memo.mu.Unlock()
+	return ev.memo.arena
+}
+
+// stored reports whether the memo holds positions for bonus.
+func stored(ev *Evaluator, bonus []float64) bool {
+	ev.memo.mu.Lock()
+	defer ev.memo.mu.Unlock()
+	s := ev.memo.find(bonus)
+	return s != nil && len(s.ord) > 0
+}
+
+// TestMemoPortalCounterfactuals pins the memo on the portal's question:
+// one-object counterfactuals at k=0.05 alternating over published
+// policies. The merge-eligible prefix of cnt+1 positions answers a
+// counterfactual, so each policy merges once and then hits until it is
+// evicted; the slots hold memoSlots policies, and one past the cap evicts
+// the least recently used and reuses its room in the arena. Throughout,
+// the arena holds at most n positions, every slot is a window of it
+// disjoint from the others, and every answer equals a fresh evaluator's.
+func TestMemoPortalCounterfactuals(t *testing.T) {
+	ev := mergeEvaluator(t, 4000)
+	d := ev.Dataset()
+	n := d.N()
+	scorer := rank.WeightedSum{Weights: synth.SchoolScoreWeights()}
+	pols := memoPolicies(memoSlots + 1)
+	want := make([][][]Counterfactual, len(pols))
+	objs := []int{0, 17, n / 3, n / 2, n - 1}
+	for pi, pol := range pols {
+		fresh := NewEvaluator(d, scorer, rank.Beneficial)
+		for _, obj := range objs {
+			cf, err := fresh.CounterfactualBatchCtx(t.Context(), pol, 0.05, []int{obj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[pi] = append(want[pi], cf)
+		}
+	}
+	ask := func(label string, pi int, wantMerges, wantHits int64) {
+		t.Helper()
+		r0, m0, h0 := ev.RankingCount(), ev.MergeCount(), ev.MemoHitCount()
+		for oi, obj := range objs {
+			got, err := ev.CounterfactualBatchCtx(t.Context(), pols[pi], 0.05, []int{obj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[pi][oi]) {
+				t.Errorf("%s: policy %d object %d differs from a fresh evaluator", label, pi, obj)
+			}
+		}
+		if dr, dm, dh := ev.RankingCount()-r0, ev.MergeCount()-m0, ev.MemoHitCount()-h0; dr != 0 || dm != wantMerges || dh != wantHits {
+			t.Errorf("%s: policy %d: %d rankings, %d merges, %d memo hits; want 0, %d, %d", label, pi, dr, dm, dh, wantMerges, wantHits)
+		}
+		checkMemoBudget(t, ev, label)
+	}
+	per := int64(len(objs))
+	for pi := 0; pi < memoSlots; pi++ {
+		ask("first round", pi, 1, per-1)
+	}
+	for pi := 0; pi < memoSlots; pi++ {
+		ask("second round", pi, 0, per)
+	}
+	arena := memoArena(ev)
+	ask("a policy past the slot cap", memoSlots, 1, per-1)
+	if stored(ev, pols[0]) {
+		t.Error("the least recently used policy survived a policy past the slot cap")
+	}
+	if got := memoArena(ev); unsafe.SliceData(got) != unsafe.SliceData(arena) || len(got) != len(arena) {
+		t.Error("the policy past the slot cap grew the arena instead of reusing the evicted policy's room")
+	}
+	for pi := 1; pi < memoSlots; pi++ {
+		ask("the survivors", pi, 0, per)
+	}
+	ask("the evicted policy", 0, 1, per-1)
+
+	// A bonus stored to all n holds the whole budget and evicts every
+	// policy. From then on full orders and policies take turns (a what-if
+	// stream beside a portal) in the one n-position arena, which no
+	// request allocates again.
+	full := func(label string, bonus []float64) {
+		t.Helper()
+		if _, err := ev.DisparityCtx(t.Context(), bonus, 1); err != nil {
+			t.Fatal(err)
+		}
+		checkMemoBudget(t, ev, label)
+		for pi := 0; pi < memoSlots; pi++ {
+			if stored(ev, pols[pi]) {
+				t.Errorf("%s: policy %d survived a full order", label, pi)
+			}
+		}
+	}
+	fullA, fullB := []float64{1, 1, 1, 1}, []float64{1, 1, 1, 1.5}
+	full("a full order", fullA)
+	arena = memoArena(ev)
+	if len(arena) != n {
+		t.Fatalf("after a full order the arena holds %d positions, want n = %d", len(arena), n)
+	}
+	full("a second full order", fullB)
+	if stored(ev, fullA) {
+		t.Error("the second full order did not evict the first")
+	}
+	for round := 0; round < 2; round++ {
+		for pi := 0; pi < 4; pi++ {
+			ask("back from a full order", pi, 1, per-1)
+		}
+		full("a full order after the policies", fullA)
+	}
+	if got := memoArena(ev); unsafe.SliceData(got) != unsafe.SliceData(arena) {
+		t.Error("full orders and policies in turn reallocated the arena")
+	}
+}
+
+// TestMemoOverflowingBonusCounterfactual stores a short prefix of a
+// finite bonus whose run offsets overflow to +Inf on rows with two
+// protected attributes, so the merge declines it, then asks a
+// counterfactual on it. Without finite offsets to look ranks up against,
+// the stored prefix must not answer as a merged one: the counterfactual
+// sorts the full order and answers what a fresh evaluator answers.
+func TestMemoOverflowingBonusCounterfactual(t *testing.T) {
+	ev := mergeEvaluator(t, 4000)
+	d := ev.Dataset()
+	n := d.N()
+	bonus := []float64{1e308, 1e308, 1e308, 1e308}
+	if _, err := ev.DisparityCtx(t.Context(), bonus, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if !stored(ev, bonus) || ev.MergeCount() != 0 {
+		t.Fatalf("disparity at k=0.1: stored %v after %d merges; want a stored prefix the merge declined", stored(ev, bonus), ev.MergeCount())
+	}
+	objs := []int{0, 17, n / 2, n - 1}
+	r0, h0 := ev.RankingCount(), ev.MemoHitCount()
+	got, err := ev.CounterfactualBatchCtx(t.Context(), bonus, 0.05, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr, dh := ev.RankingCount()-r0, ev.MemoHitCount()-h0; dr != 1 || dh != 0 {
+		t.Errorf("counterfactual on the stored prefix: %d rankings, %d memo hits; want 1, 0", dr, dh)
+	}
+	want, err := NewEvaluator(d, rank.WeightedSum{Weights: synth.SchoolScoreWeights()}, rank.Beneficial).CounterfactualBatchCtx(t.Context(), bonus, 0.05, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) { // NaN-safe: an overflowed row reads NaN deltas
+		t.Errorf("counterfactuals differ from a fresh evaluator:\n got %v\nwant %v", got, want)
+	}
 }
 
 // TestMemoHitHonorsCancellation checks that a dead context fails a
@@ -251,15 +451,17 @@ func TestMemoHitHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentAlternatingBonuses runs plans on two alternating
-// bonus vectors from several goroutines, with prefixes short and long and
-// full counterfactual orders, so reads, replacements and extensions of
-// the slot interleave; under -race it also checks the slot's locking.
-// Every answer must equal the one a fresh evaluator gives.
+// TestMemoConcurrentAlternatingBonuses runs plans on more alternating
+// bonus vectors than the memo has slots from several goroutines, with
+// prefixes short and long, full orders and merge-route counterfactuals,
+// so reads, evictions, arena packing and growth and extensions of the
+// slots interleave; under -race it also checks the memo's locking. Every
+// answer must equal the one a fresh evaluator gives, and the slots must
+// stay disjoint windows of an arena of at most n positions.
 func TestMemoConcurrentAlternatingBonuses(t *testing.T) {
 	ev := mergeEvaluator(t, 3000)
 	n := ev.Dataset().N()
-	bonuses := [][]float64{{2, 11, 10.5, 12.5}, {1, 0, 4, 9}}
+	bonuses := append([][]float64{{2, 11, 10.5, 12.5}, {1, 0, 4, 9}}, memoPolicies(memoSlots)...)
 	variants := [][]BatchQuery{
 		{{Kind: BatchDisparity, K: 0.05}, {Kind: BatchExplain, K: 0.02}},
 		{{Kind: BatchNDCG, K: 0.4}, {Kind: BatchDisparateImpact, K: 0.1}},
@@ -286,7 +488,9 @@ func TestMemoConcurrentAlternatingBonuses(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for r := 0; r < rounds; r++ {
-				bi, vi := (w+r)%len(bonuses), rng.Intn(len(variants))
+				// Each bonus twice in a row: a worker cycling through more
+				// bonuses than slots would otherwise find every one evicted.
+				bi, vi := (w+r/2)%len(bonuses), rng.Intn(len(variants))
 				got, err := ev.AnswerBatchCtx(t.Context(), bonuses[bi], variants[vi])
 				if err == nil && !reflect.DeepEqual(got, want[bi][vi]) {
 					err = fmt.Errorf("worker %d round %d: bonus %d variant %d differs from a fresh evaluator", w, r, bi, vi)
@@ -305,4 +509,5 @@ func TestMemoConcurrentAlternatingBonuses(t *testing.T) {
 	if ev.MemoHitCount() == 0 {
 		t.Error("no plan hit the memo")
 	}
+	checkMemoBudget(t, ev, "after the workers")
 }

@@ -194,7 +194,7 @@ func TestMergeCounterfactualDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := ev.counterfactualsWS(ws, order, ws.Eff(n), nil, false, cnt, objs)
+		want := ev.counterfactualsWS(ws, order, ws.Eff(n), false, cnt, objs)
 		ev.put(ws)
 		for r := range want {
 			if !reflect.DeepEqual(got[r], want[r]) {

@@ -229,10 +229,11 @@ func (s *MergeScratch) ensure(g int) {
 	s.last = s.last[:g]
 }
 
-// prepareOffsets fills the per-run bonus offsets, reporting false when
-// any offset is non-finite (a NaN or ±Inf bonus breaks the total order,
-// so callers must fall back to the full-sort path for bit-identity).
-func (c *ComboRuns) prepareOffsets(bonus []float64, pol Polarity, s *MergeScratch) bool {
+// PrepareOffsets fills s with the per-run bonus offsets under bonus,
+// reporting false when any offset is non-finite (a NaN or ±Inf bonus
+// breaks the total order, so callers must fall back to the full-sort path
+// for bit-identity).
+func (c *ComboRuns) PrepareOffsets(bonus []float64, pol Polarity, s *MergeScratch) bool {
 	g := c.Runs()
 	s.ensure(g)
 	sign := pol.Sign()
@@ -332,7 +333,7 @@ const mergeCheckInterval = 4096
 // structure itself did not decline).
 func (c *ComboRuns) MergeTopKIntoCtx(ctx context.Context, bonus []float64, pol Polarity, k int, s *MergeScratch, dst []int, effOut []float64) ([]int, bool, error) {
 	checkK(c.n, k)
-	if !c.prepareOffsets(bonus, pol, s) {
+	if !c.PrepareOffsets(bonus, pol, s) {
 		return nil, false, nil
 	}
 	g := int32(c.Runs())
@@ -396,31 +397,35 @@ func (s *MergeScratch) siftDown(root int) {
 }
 
 // RankOf returns the 0-based rank of object obj in the full ranking
-// under bonus, together with its effective score, without materializing
-// any prefix: each run contributes a binary-search count of members
-// ranking above obj (effective score strictly greater, or equal with a
-// lower id), an O(g log(n/g)) total. ok=false means the merge structure
-// declined (non-finite offsets); fall back to a full ranking.
-func (c *ComboRuns) RankOf(obj int, bonus []float64, pol Polarity, s *MergeScratch) (rankPos int, eff float64, ok bool) {
-	if !c.prepareOffsets(bonus, pol, s) {
-		return 0, 0, false
-	}
+// under the bonus the last successful PrepareOffsets (or merge) on s was
+// given, together with its effective score, without materializing any
+// prefix: each run contributes a binary-search count of members ranking
+// above obj (effective score strictly greater, or equal with a lower id),
+// an O(g log(n/g)) total. A caller asking about many objects under one
+// bonus prepares once and looks each up.
+func (c *ComboRuns) RankOf(obj int, s *MergeScratch) (rankPos int, eff float64) {
 	e := c.bases[c.posOf[obj]] + s.offsets[c.comboOf[obj]]
 	above := 0
-	for r := 0; r < c.Runs(); r++ {
-		lo, hi := int(c.starts[r]), int(c.starts[r+1])
-		off := s.offsets[r]
-		// First position with eff <= e; everything before it ranks above.
-		cut := lo + sort.Search(hi-lo, func(q int) bool {
-			return c.bases[lo+q]+off <= e
-		})
-		above += cut - lo
+	for r, off := range s.offsets {
+		start, end := int(c.starts[r]), int(c.starts[r+1])
+		// First position with eff <= e (sort.Search's bisection, inlined);
+		// everything before it ranks above.
+		lo, hi := start, end
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if c.bases[m]+off <= e {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		above += lo - start
 		// Among the equal-eff region, ids lower than obj rank above.
-		for q := cut; q < hi && c.bases[q]+off == e; q++ {
+		for q := lo; q < end && c.bases[q]+off == e; q++ {
 			if int(c.ids[q]) < obj {
 				above++
 			}
 		}
 	}
-	return above, e, true
+	return above, e
 }

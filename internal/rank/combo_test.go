@@ -105,8 +105,8 @@ func TestMergeTopKDifferential(t *testing.T) {
 	}
 }
 
-// TestMergeRankOfDifferential pins RankOf against the object's position
-// in the full ranking.
+// TestMergeRankOfDifferential pins RankOf, for several objects under one
+// prepared bonus, against each object's position in the full ranking.
 func TestMergeRankOfDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	var scratch MergeScratch
@@ -129,12 +129,12 @@ func TestMergeRankOfDifferential(t *testing.T) {
 		for p, id := range full {
 			posOf[id] = p
 		}
+		if !c.PrepareOffsets(bonus, pol, &scratch) {
+			t.Fatalf("trial %d: PrepareOffsets declined finite bonus", trial)
+		}
 		for probe := 0; probe < 8; probe++ {
 			obj := rng.Intn(n)
-			got, ge, ok := c.RankOf(obj, bonus, pol, &scratch)
-			if !ok {
-				t.Fatalf("trial %d: RankOf declined finite bonus", trial)
-			}
+			got, ge := c.RankOf(obj, &scratch)
 			if got != posOf[obj] {
 				t.Fatalf("trial %d obj %d: RankOf=%d, full ranking position %d", trial, obj, got, posOf[obj])
 			}
@@ -220,8 +220,8 @@ func TestComboRunsDecline(t *testing.T) {
 	if _, ok := c.MergeTopKInto([]float64{math.Inf(1)}, Beneficial, 4, &scratch, make([]int, 0, 4), nil); ok {
 		t.Fatal("merge accepted an infinite bonus")
 	}
-	if _, _, ok := c.RankOf(0, []float64{math.NaN()}, Beneficial, &scratch); ok {
-		t.Fatal("RankOf accepted a NaN bonus")
+	if c.PrepareOffsets([]float64{math.NaN()}, Beneficial, &scratch) {
+		t.Fatal("PrepareOffsets accepted a NaN bonus")
 	}
 }
 

@@ -40,6 +40,7 @@
 // instead of a population-wide scoring pass and ranking, bit-identical to
 // the full sort including tie-breaking (equal-effective-score head groups
 // are re-emitted in ascending id order, covering the rounding-collapse
-// case where adding the run offset makes distinct bases equal). RankOf
-// answers one object's exact rank by binary search per run.
+// case where adding the run offset makes distinct bases equal). After
+// PrepareOffsets under a bonus, RankOf answers any object's exact rank by
+// binary search per run.
 package rank

@@ -54,15 +54,20 @@ func BenchmarkBuildBundle80k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A plan on another vector replaces the evaluator's ranked-order
-		// memo, so every op ranks its bonus cold.
+		// A full order of another vector takes the ranked-order memo's
+		// whole budget of n positions and so evicts every other slot:
+		// every op ranks its bonus cold, which the hit count confirms.
 		b.StopTimer()
-		if _, err := ev.DisparityCtx(context.Background(), evict, 0.001); err != nil {
+		if _, err := ev.DisparityCtx(context.Background(), evict, 1); err != nil {
 			b.Fatal(err)
 		}
+		h0 := ev.MemoHitCount()
 		b.StartTimer()
 		if _, err := BuildBundleCtx(context.Background(), ev, cfg); err != nil {
 			b.Fatal(err)
+		}
+		if h := ev.MemoHitCount() - h0; h != 0 {
+			b.Fatalf("op %d hit the ranked-order memo %d times; the benchmark times a cold bundle", i, h)
 		}
 	}
 }

@@ -46,6 +46,55 @@ func TestCounterfactualMatchesCore(t *testing.T) {
 	}
 }
 
+// TestCounterfactualPortalMemo sends a portal's request stream: one
+// applicant per request, alternating over four published policies. Once
+// each policy has been merged, the evaluator's ranked-order memo answers
+// every later cache miss: memo_hits rises by one per request while
+// merge_count and ranking_count stay put.
+func TestCounterfactualPortalMemo(t *testing.T) {
+	_, ts := newTestServer(t)
+	policies := [][]float64{{2, 10.5, 9, 12}, {1.5, 10, 8.5, 11.5}, {2.5, 11, 9.5, 12.5}, {0, 8, 8, 10}}
+	ask := func(pol []float64, obj int) {
+		t.Helper()
+		var resp CounterfactualResponse
+		code, body := postJSON(t, ts.URL+"/v1/counterfactual",
+			CounterfactualRequest{Dataset: "school", Bonus: pol, K: 0.05, Objects: []int{obj}}, &resp)
+		if code != 200 {
+			t.Fatalf("counterfactual: %d %s", code, body)
+		}
+		if resp.CachedObjects != 0 {
+			t.Fatalf("object %d came from the result cache", obj)
+		}
+	}
+	stats := func() RankStatsInfo {
+		t.Helper()
+		var ds []DatasetInfo
+		if code, body := getJSON(t, ts.URL+"/v1/datasets", &ds); code != 200 {
+			t.Fatalf("datasets: %d %s", code, body)
+		}
+		return *ds[0].RankStats
+	}
+	for i, pol := range policies {
+		ask(pol, i)
+	}
+	warm := stats()
+	if warm.MergeCount != int64(len(policies)) {
+		t.Fatalf("warm-up merged %d times, want one merge per policy (%d)", warm.MergeCount, len(policies))
+	}
+	const requests = 24
+	for r := 0; r < requests; r++ {
+		ask(policies[r%len(policies)], 100+37*r)
+	}
+	got := stats()
+	if got.MergeCount != warm.MergeCount || got.RankingCount != warm.RankingCount {
+		t.Errorf("portal requests after warm-up: merge_count %d -> %d, ranking_count %d -> %d; want both unchanged",
+			warm.MergeCount, got.MergeCount, warm.RankingCount, got.RankingCount)
+	}
+	if d := got.MemoHits - warm.MemoHits; d != requests {
+		t.Errorf("portal requests after warm-up raised memo_hits by %d, want %d", d, requests)
+	}
+}
+
 // TestCounterfactualValidationHTTP covers the request rejections: unknown
 // dataset, bad fraction, empty/oversized object lists, out-of-range
 // objects, mis-sized and non-finite bonus vectors, unknown fields.
