@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -389,7 +390,7 @@ func (p *plan) run(ctx context.Context) error {
 		vec := looBacking[r*dims : (r+1)*dims]
 		copy(vec, p.bonus)
 		vec[looJobs[r]] = 0
-		ord, _, err := e.rankedPrefixWS(ctx, ws, vec, bcuts[len(bcuts)-1], false)
+		ord, _, _, err := e.rankedPrefixWS(ctx, ws, vec, bcuts[len(bcuts)-1], false)
 		if err != nil {
 			terrs[t] = err
 			return
@@ -417,13 +418,12 @@ func (p *plan) run(ctx context.Context) error {
 // query's data-dependent failure lands in its own answer.
 func (p *plan) pass(ctx context.Context, ws *engine.Workspace) error {
 	e := p.e
-	order, merged, err := e.rankedPrefixWS(ctx, ws, p.bonus, p.maxCut, p.full)
+	order, buf, merged, err := e.rankedPrefixWS(ctx, ws, p.bonus, p.maxCut, p.full)
 	if err != nil {
 		return err
 	}
-	eff := e.base
+	eff := effScores{e: e, bonus: p.bonus, buf: buf}
 	if p.bonus != nil {
-		eff = ws.Eff(e.d.N()) // filled by rankedPrefixWS for every id it emits
 		e.memo.write(p.bonus, order, e.d.N())
 	}
 
@@ -571,35 +571,44 @@ func (e *Evaluator) foldOne(ws *engine.Workspace, ord []int, kind BatchKind, cut
 // and of the uncompensated top cnt, the per-group counts of both (into
 // groups and baseGroups), and the objects the bonus admitted and
 // displaced, ascending.
-func (e *Evaluator) selectionWS(ws *engine.Workspace, order []int, eff []float64, cnt int, groups, baseGroups []int) (cutoff, baseCutoff float64, admitted, displaced []int) {
+func (e *Evaluator) selectionWS(ws *engine.Workspace, order []int, eff effScores, cnt int, groups, baseGroups []int) (cutoff, baseCutoff float64, admitted, displaced []int) {
 	dims := e.d.NumFair()
 	cuts := []int{cnt}
 	copy(groups, metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(dims)))
 	copy(baseGroups, metrics.PrefixGroupCountsInto(e.d, e.origOrd, cuts, ws.Cnts(dims)))
 
-	// Beneficiary sets: symmetric difference of the two selections via
-	// the membership-mark buffer (reset to all-false on every path).
+	// Beneficiary sets: both selections marked in a bitmap of n bits
+	// each, the differences read back ascending word by word.
 	base := e.origOrd[:cnt]
-	marks := ws.Marks(e.d.N())
-	for _, o := range base {
-		marks[o] = true
-	}
+	words := (e.d.N() + 63) / 64
+	marks := ws.Bits(2 * words)
+	pol, unc := marks[:words], marks[words:]
 	for _, o := range order[:cnt] {
-		if marks[o] {
-			marks[o] = false
-		} else {
-			admitted = append(admitted, o)
-		}
+		pol[o>>6] |= 1 << (o & 63)
 	}
 	for _, o := range base {
-		if marks[o] {
-			displaced = append(displaced, o)
-			marks[o] = false
+		unc[o>>6] |= 1 << (o & 63)
+	}
+	return eff.at(order[cnt-1]), e.base[base[cnt-1]], andNotIDs(pol, unc), andNotIDs(unc, pol)
+}
+
+// andNotIDs lists the ids whose bit is set in a and clear in b,
+// ascending, in a slice of exactly their number; nil when there are none.
+func andNotIDs(a, b []uint64) []int {
+	cnt := 0
+	for w, x := range a {
+		cnt += bits.OnesCount64(x &^ b[w])
+	}
+	if cnt == 0 {
+		return nil
+	}
+	ids := make([]int, 0, cnt)
+	for w, x := range a {
+		for x &^= b[w]; x != 0; x &= x - 1 {
+			ids = append(ids, w<<6|bits.TrailingZeros64(x))
 		}
 	}
-	sort.Ints(admitted)
-	sort.Ints(displaced)
-	return eff[order[cnt-1]], e.base[base[cnt-1]], admitted, displaced
+	return ids
 }
 
 // finishBundles completes every bundle answer once the primary pass and

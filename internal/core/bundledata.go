@@ -133,7 +133,7 @@ func (e *Evaluator) BundleStatsCtx(ctx context.Context, cfg BundleStatsConfig) (
 // cached uncompensated one. Only the data-dependent failures (zero ideal
 // DCG, degenerate exposure groups) are possible, and they are the query's
 // own.
-func (e *Evaluator) bundleWS(ws *engine.Workspace, order []int, eff []float64, cfg *BundleStatsConfig, g *batchGeom) (*BundleStats, error) {
+func (e *Evaluator) bundleWS(ws *engine.Workspace, order []int, eff effScores, cfg *BundleStatsConfig, g *batchGeom) (*BundleStats, error) {
 	dims, cnt := e.d.NumFair(), g.cnt
 	// The Bonus copy is always dims long (a nil config bonus means the
 	// zero vector), so every per-dimension slice in the result is

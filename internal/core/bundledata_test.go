@@ -332,7 +332,7 @@ func TestRankedPrefixMatchesFullSort(t *testing.T) {
 	ws := ev.ws()
 	defer ev.put(ws)
 	for p := 1; p <= d.N(); p++ {
-		got, _, err := ev.rankedPrefixWS(context.Background(), ws, bonus, p, false)
+		got, _, _, err := ev.rankedPrefixWS(context.Background(), ws, bonus, p, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -135,7 +135,7 @@ func (e *Evaluator) CounterfactualBatchCtx(ctx context.Context, bonus []float64,
 //     every listed object. objs may alias order (the bundle margin window
 //     passes a slice of it); the inverse is built before any result is
 //     written, and nothing below mutates either buffer.
-func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff []float64, merged bool, cnt int, objs []int) []Counterfactual {
+func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff effScores, merged bool, cnt int, objs []int) []Counterfactual {
 	n := e.d.N()
 	var inv []int
 	if !merged {
@@ -144,6 +144,15 @@ func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff []f
 		for pos, o := range order {
 			inv[o] = pos
 		}
+	}
+	// The boundary competitors: the last selected object and, when the
+	// selection leaves anyone out, the first excluded one.
+	last := order[cnt-1]
+	lastEff := eff.at(last)
+	first, firstEff := -1, 0.0
+	if cnt < n {
+		first = order[cnt]
+		firstEff = eff.at(first)
 	}
 	dims := e.d.NumFair()
 	sign := e.pol.Sign()
@@ -154,22 +163,21 @@ func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, eff []f
 		if merged {
 			cf.Rank, cf.Effective = e.runs.RankOf(obj, ws.Merge())
 		} else {
-			cf.Rank, cf.Effective = inv[obj], eff[obj]
+			cf.Rank, cf.Effective = inv[obj], eff.at(obj)
 		}
 		cf.Selected = cf.Rank < cnt
 		if cf.Selected {
 			// A selected object leaves only by dropping below the first
 			// excluded object; with k covering everyone there is none.
-			if cnt == n {
+			if first < 0 {
 				cf.Competitor = -1
 				out[r] = cf
 				continue
 			}
-			cf.Competitor = order[cnt]
+			cf.Competitor, cf.Cutoff = first, firstEff
 		} else {
-			cf.Competitor = order[cnt-1]
+			cf.Competitor, cf.Cutoff = last, lastEff
 		}
-		cf.Cutoff = eff[cf.Competitor]
 		e.finishCounterfactual(&cf, sign)
 		out[r] = cf
 	}

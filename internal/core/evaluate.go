@@ -350,9 +350,12 @@ func (e *Evaluator) mergeEligible(p int) bool {
 // score, ties by ascending index) — or, when full is set and the prefix
 // is not merged, the whole order — using workspace buffers; the result
 // aliases ws (or the cached original order) and must not be retained past
-// the workspace. merged reports a p-position prefix on the combo-run
-// route (merged, or read from the memo for a full request); ws.Merge()
-// then holds the bonus's run offsets, against which the caller reads each
+// the workspace. eff holds the effective score of every id the route
+// emitted (the base scores for a zero bonus), or is nil after a memo hit,
+// which scores nothing: its readers score the few ids they read (see
+// effScores). merged reports a p-position prefix on the combo-run route
+// (merged, or read from the memo for a full request); ws.Merge() then
+// holds the bonus's run offsets, against which the caller reads each
 // object's rank through per-run lookups (ComboRuns.RankOf) instead of
 // inverting the order. The route:
 //
@@ -372,28 +375,26 @@ func (e *Evaluator) mergeEligible(p int) bool {
 //     comparator — O(n log p) — otherwise.
 //
 // The comparator is a total order, so every route's prefix is
-// bit-identical to the full sort's leading segment. Every non-zero route
-// fills ws.Eff for each id it emits; a memo hit fills it with the term
-// route's expression, which every other route's score equals bit for bit.
-// Cancellation surfaces from the poll ahead of the memo, from the
-// merge's amortized checkpoint, or from the poll ahead of a scoring pass;
-// a non-nil error means no order was produced. The faultinject
-// rank.prefix site fires on every non-zero-bonus call, memo hits included,
-// so chaos tests can make each ranking pass arbitrarily slow without
-// touching real data. Only plan.pass writes the memo.
-func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bonus []float64, p int, full bool) (order []int, merged bool, err error) {
+// bit-identical to the full sort's leading segment. Cancellation
+// surfaces from the poll ahead of the memo, from the merge's amortized
+// checkpoint, or from the poll ahead of a scoring pass; a non-nil error
+// means no order was produced. The faultinject rank.prefix site fires on
+// every non-zero-bonus call, memo hits included, so chaos tests can make
+// each ranking pass arbitrarily slow without touching real data. Only
+// plan.pass writes the memo.
+func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bonus []float64, p int, full bool) (order []int, eff []float64, merged bool, err error) {
 	n := e.d.N()
 	if isZero(bonus) {
 		if full {
-			return e.origOrd, false, nil
+			return e.origOrd, e.base, false, nil
 		}
-		return e.origOrd[:p], false, nil
+		return e.origOrd[:p], e.base, false, nil
 	}
 	if err := faultinject.Fire(ctx, faultinject.SiteRankPrefix); err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	eligible := e.mergeEligible(p)
 	want, floor := p, p
@@ -409,25 +410,20 @@ func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bo
 		}
 	}
 	if ord, ok := e.memo.readWS(bonus, want, floor, ws); ok {
-		if len(ord) == n {
-			rank.EffectiveScoresEach(e.d, e.base, bonus, e.pol, ws.Eff(n))
-		} else {
-			rank.EffectiveScoresAt(e.d, e.base, ord, bonus, e.pol, ws.Eff(n))
-		}
 		e.memoHits.Add(1)
-		return ord, len(ord) < want, nil
+		return ord, nil, len(ord) < want, nil
 	}
 	if eligible {
 		pre, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, p, ws.Merge(), ws.Ord(p), ws.Eff(n))
 		if err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		if ok {
 			e.merges.Add(1)
-			return pre, true, nil
+			return pre, ws.Eff(n), true, nil
 		}
 	}
-	eff := rank.EffectiveScoresEach(e.d, e.base, bonus, e.pol, ws.Eff(n))
+	eff = rank.EffectiveScoresEach(e.d, e.base, bonus, e.pol, ws.Eff(n))
 	e.rankings.Add(1)
 	if full || p >= n/2 {
 		// Selecting most of the population saves nothing over sorting it.
@@ -435,11 +431,32 @@ func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bo
 		if !full {
 			ord = ord[:p]
 		}
-		return ord, false, nil
+		return ord, eff, false, nil
 	}
 	pre := rank.TopKHeapInto(eff, p, ws.Ord(p))
 	rank.SortRanked(eff, pre)
-	return pre, false, nil
+	return pre, eff, false, nil
+}
+
+// effScores reads effective scores under a plan's bonus for the readers
+// of its order (counterfactuals, bundles, explanations): from the buffer
+// rankedPrefixWS filled, or, after a memo hit, which fills none, one id at
+// a time through rank.EffectiveScoreAt, the term route's expression,
+// which every ranking route's score equals bit for bit. A memo hit thus
+// scores only the ids a query reads: its objects, the boundary
+// competitors, the published cutoff and a bundle's margin window.
+type effScores struct {
+	e     *Evaluator
+	bonus []float64
+	buf   []float64 // nil after a memo hit
+}
+
+// at returns object i's effective score.
+func (s effScores) at(i int) float64 {
+	if s.buf != nil {
+		return s.buf[i]
+	}
+	return rank.EffectiveScoreAt(s.e.d, s.e.base, i, s.bonus, s.e.pol)
 }
 
 // Order returns the full ranking under the given bonus vector (descending
@@ -453,7 +470,7 @@ func (e *Evaluator) Order(bonus []float64) ([]int, error) {
 	}
 	ws := e.ws()
 	defer e.put(ws)
-	ord, _, err := e.rankedPrefixWS(context.Background(), ws, bonus, e.d.N(), true)
+	ord, _, _, err := e.rankedPrefixWS(context.Background(), ws, bonus, e.d.N(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +489,7 @@ func (e *Evaluator) SelectCtx(ctx context.Context, bonus []float64, k float64) (
 	}
 	ws := e.ws()
 	defer e.put(ws)
-	sel, _, err := e.rankedPrefixWS(ctx, ws, bonus, cnt, false)
+	sel, _, _, err := e.rankedPrefixWS(ctx, ws, bonus, cnt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -501,7 +518,7 @@ func (e *Evaluator) LogDiscounted(bonus []float64, ld metrics.LogDiscount) ([]fl
 	}
 	ws := e.ws()
 	defer e.put(ws)
-	ord, _, err := e.rankedPrefixWS(context.Background(), ws, bonus, e.d.N(), true)
+	ord, _, _, err := e.rankedPrefixWS(context.Background(), ws, bonus, e.d.N(), true)
 	if err != nil {
 		return nil, err
 	}

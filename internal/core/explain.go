@@ -69,7 +69,7 @@ func (e *Evaluator) ExplainCtx(ctx context.Context, bonus []float64, k float64) 
 }
 
 // explainWS answers one BatchExplain query from a plan's order.
-func (e *Evaluator) explainWS(ws *engine.Workspace, order []int, eff, bonus []float64, k float64, cnt int) *Explanation {
+func (e *Evaluator) explainWS(ws *engine.Workspace, order []int, eff effScores, bonus []float64, k float64, cnt int) *Explanation {
 	dims := e.d.NumFair()
 	exp := &Explanation{
 		K:               k,

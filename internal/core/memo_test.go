@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"fairrank/internal/dataset"
 	"fairrank/internal/rank"
 	"fairrank/internal/synth"
 )
@@ -510,4 +512,140 @@ func TestMemoConcurrentAlternatingBonuses(t *testing.T) {
 		t.Error("no plan hit the memo")
 	}
 	checkMemoBudget(t, ev, "after the workers")
+}
+
+// sameCounterfactuals reports the first counterfactual of got that
+// differs from want's, comparing every float by its bits.
+func sameCounterfactuals(got, want []Counterfactual) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d counterfactuals, want %d", len(got), len(want))
+	}
+	for r := range got {
+		g, w := got[r], want[r]
+		if g.Object != w.Object || g.Selected != w.Selected || g.Rank != w.Rank || g.Competitor != w.Competitor || g.Feasible != w.Feasible ||
+			!sameBits([]float64{g.Effective, g.Cutoff, g.ScoreDelta, g.BonusDelta}, []float64{w.Effective, w.Cutoff, w.ScoreDelta, w.BonusDelta}) ||
+			!sameBits(g.PerAttribute, w.PerAttribute) {
+			return fmt.Errorf("object %d: %+v, want %+v", g.Object, g, w)
+		}
+	}
+	return nil
+}
+
+// TestMemoHitExactness answers a counterfactual batch, an explanation and
+// a margin-window bundle from the ranked-order memo, which scores only
+// the ids each reads, and holds every answer to a fresh evaluator's bit
+// for bit: Effective, Cutoff, Competitor and ScoreDelta of every
+// counterfactual and margin line, both cutoffs and the admitted and
+// displaced lists. The memo is warmed two ways: by a full order (every
+// later plan reads a prefix of it, a counterfactual the whole order) and
+// by a counterfactual, which on the merge route stores its cnt+1 prefix
+// (the next one reads it as merged, and a one-line margin window fits in
+// it too) and otherwise the full order it sorted. The
+// cohorts are compas under Adverse polarity, a school cohort without a
+// combo-row index, and the quantized school cohort under a finite bonus
+// whose run offsets overflow, which reads its stored full order with
+// infinite scores.
+func TestMemoHitExactness(t *testing.T) {
+	ccfg := synth.DefaultCompasConfig()
+	ccfg.N = 3000
+	compas, err := synth.GenerateCompas(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := synth.DefaultSchoolConfig()
+	scfg.N, scfg.ENILevels = 3000, 0
+	unindexed, err := synth.GenerateSchool(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	school := mergeEvaluator(t, 3000).Dataset()
+	schoolScorer := rank.WeightedSum{Weights: synth.SchoolScoreWeights()}
+	cases := []struct {
+		name   string
+		d      *dataset.Dataset
+		scorer rank.Scorer
+		pol    rank.Polarity
+		bonus  []float64
+	}{
+		{"compas adverse", compas, rank.WeightedSum{Weights: synth.CompasScoreWeights()}, rank.Adverse, []float64{0.4, 0, 1.5, 0.25, 0, 2}},
+		{"no combo index", unindexed, schoolScorer, rank.Beneficial, []float64{2, 11, 10.5, 12.5}},
+		{"overflowing offsets", school, schoolScorer, rank.Beneficial, []float64{1e308, 1e308, 1e308, 1e308}},
+	}
+	const k = 0.05
+	for _, c := range cases {
+		n := c.d.N()
+		objs := []int{0, 17, n / 3, n / 2, n - 1}
+		answer := func(ev *Evaluator, margins int) (cfs []Counterfactual, exp *Explanation, st *BundleStats) {
+			t.Helper()
+			if cfs, err = ev.CounterfactualBatchCtx(t.Context(), c.bonus, k, objs); err != nil {
+				t.Fatal(err)
+			}
+			if exp, err = ev.ExplainCtx(t.Context(), c.bonus, k); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = ev.BundleStatsCtx(t.Context(), BundleStatsConfig{Bonus: c.bonus, K: k, Margins: margins}); err != nil {
+				t.Fatal(err)
+			}
+			return cfs, exp, st
+		}
+		warmups := []struct {
+			name    string
+			warm    func(ev *Evaluator) error
+			margins int
+		}{
+			{"full order", func(ev *Evaluator) error { _, err := ev.DisparityCtx(t.Context(), c.bonus, 1); return err }, 8},
+			{"counterfactual", func(ev *Evaluator) error {
+				_, err := ev.CounterfactualBatchCtx(t.Context(), c.bonus, k, []int{1})
+				return err
+			}, 1},
+		}
+		for _, w := range warmups {
+			label := c.name + ", warmed by a " + w.name
+			ev := NewEvaluator(c.d, c.scorer, c.pol)
+			if err := w.warm(ev); err != nil {
+				t.Fatal(err)
+			}
+			if !stored(ev, c.bonus) {
+				t.Fatalf("%s: the warm-up stored no order", label)
+			}
+			h0 := ev.MemoHitCount()
+			cfs, exp, st := answer(ev, w.margins)
+			if dh := ev.MemoHitCount() - h0; dh != 3 {
+				t.Errorf("%s: %d memo hits, want 3", label, dh)
+			}
+			var fcfs []Counterfactual
+			var fexp *Explanation
+			var fst *BundleStats
+			fcfs, _, _ = answer(NewEvaluator(c.d, c.scorer, c.pol), w.margins)
+			_, fexp, _ = answer(NewEvaluator(c.d, c.scorer, c.pol), w.margins)
+			_, _, fst = answer(NewEvaluator(c.d, c.scorer, c.pol), w.margins)
+			if err := sameCounterfactuals(cfs, fcfs); err != nil {
+				t.Errorf("%s: counterfactuals: %v", label, err)
+			}
+			if err := sameCounterfactuals(st.Margins, fst.Margins); err != nil {
+				t.Errorf("%s: margin window: %v", label, err)
+			}
+			if len(st.Margins) != 2*w.margins {
+				t.Errorf("%s: %d margin lines, want %d", label, len(st.Margins), 2*w.margins)
+			}
+			for _, s := range []struct {
+				what                            string
+				cut, baseCut, fcut, fbaseCut    float64
+				admitted, displaced, fadm, fdis []int
+			}{
+				{"explanation", exp.Cutoff, exp.BaseCutoff, fexp.Cutoff, fexp.BaseCutoff, exp.AdmittedByBonus, exp.DisplacedByBonus, fexp.AdmittedByBonus, fexp.DisplacedByBonus},
+				{"bundle", st.Cutoff, st.BaseCutoff, fst.Cutoff, fst.BaseCutoff, st.AdmittedByBonus, st.DisplacedByBonus, fst.AdmittedByBonus, fst.DisplacedByBonus},
+			} {
+				if !sameBits([]float64{s.cut, s.baseCut}, []float64{s.fcut, s.fbaseCut}) {
+					t.Errorf("%s: %s cutoffs %v, %v; want %v, %v", label, s.what, s.cut, s.baseCut, s.fcut, s.fbaseCut)
+				}
+				if !slices.Equal(s.admitted, s.fadm) || !slices.Equal(s.displaced, s.fdis) {
+					t.Errorf("%s: %s admitted %v displaced %v; want %v and %v", label, s.what, s.admitted, s.displaced, s.fadm, s.fdis)
+				}
+			}
+			if fmt.Sprint(exp) != fmt.Sprint(fexp) || fmt.Sprint(st) != fmt.Sprint(fst) {
+				t.Errorf("%s: memo-served explanation or bundle differs from a fresh evaluator's", label)
+			}
+		}
+	}
 }

@@ -190,11 +190,11 @@ func TestMergeCounterfactualDifferential(t *testing.T) {
 			t.Fatalf("k=%g: batch did not take the merge route", k)
 		}
 		ws := ev.ws()
-		order, _, err := ev.rankedPrefixWS(context.Background(), ws, bonus, n, true)
+		order, eff, _, err := ev.rankedPrefixWS(context.Background(), ws, bonus, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ev.counterfactualsWS(ws, order, ws.Eff(n), false, cnt, objs)
+		want := ev.counterfactualsWS(ws, order, effScores{e: ev, bonus: bonus, buf: eff}, false, cnt, objs)
 		ev.put(ws)
 		for r := range want {
 			if !reflect.DeepEqual(got[r], want[r]) {

@@ -26,11 +26,12 @@ type Dataset struct {
 }
 
 // comboIndex maps every object to its distinct fairness row. ok is false
-// when the dataset has more than MaxCombos distinct rows; comboOf and
-// reps are nil then.
+// when the dataset has more than MaxCombos distinct rows; comboOf, reps
+// and masks are nil then.
 type comboIndex struct {
 	comboOf []int32   // combo of every object id
 	reps    []float64 // one row per combo, flat: combo c is reps[c*dims:(c+1)*dims]
+	masks   []uint64  // one membership mask per combo; nil above MaxMaskDims
 	ok      bool
 }
 
@@ -197,79 +198,76 @@ func (d *Dataset) FairCentroidOf(idx []int) []float64 {
 
 // FairCentroidInto is the in-place variant of FairCentroidOf: it writes the
 // centroid into dst (length NumFair) and returns dst, allocating nothing.
-//
-// Once the combo-row index exists (see ComboIndex) the centroid is one
-// pass over idx that reads each object's combo row, a few cache-resident
-// bytes, instead of NumFair random reads across the columns. Each
-// dimension is still summed in idx order from zero, and a combo row is
-// bitwise equal to the object's column values, so both routes return the
-// same bits.
+// It is AddFairRows over idx from zero, divided by len(idx).
 func (d *Dataset) FairCentroidInto(idx []int, dst []float64) []float64 {
 	if len(idx) == 0 {
-		for j := range dst {
-			dst[j] = 0
-		}
+		clear(dst)
 		return dst
 	}
+	sum := dst[:len(d.fair)]
+	clear(sum)
+	d.AddFairRows(idx, sum)
 	cnt := float64(len(idx))
-	// Only an index ComboIndex already built: a one-off centroid over a
-	// fresh dataset must not pay for the build.
-	if ci := d.combos.Load(); ci != nil && ci.ok {
-		comboOf, reps := ci.comboOf, ci.reps
-		switch len(d.fair) {
-		case 2:
-			var s0, s1 float64
-			for _, i := range idx {
-				r := reps[2*int(comboOf[i]):][:2]
-				s0 += r[0]
-				s1 += r[1]
-			}
-			dst[0], dst[1] = s0/cnt, s1/cnt
-		case 3:
-			var s0, s1, s2 float64
-			for _, i := range idx {
-				r := reps[3*int(comboOf[i]):][:3]
-				s0 += r[0]
-				s1 += r[1]
-				s2 += r[2]
-			}
-			dst[0], dst[1], dst[2] = s0/cnt, s1/cnt, s2/cnt
-		case 4:
-			var s0, s1, s2, s3 float64
-			for _, i := range idx {
-				r := reps[4*int(comboOf[i]):][:4]
-				s0 += r[0]
-				s1 += r[1]
-				s2 += r[2]
-				s3 += r[3]
-			}
-			dst[0], dst[1], dst[2], dst[3] = s0/cnt, s1/cnt, s2/cnt, s3/cnt
-		default:
-			dims := len(d.fair)
-			sum := dst[:dims]
-			for j := range sum {
-				sum[j] = 0
-			}
-			for _, i := range idx {
-				r := reps[dims*int(comboOf[i]):][:dims]
-				for j, v := range r {
-					sum[j] += v
-				}
-			}
-			for j := range sum {
-				sum[j] /= cnt
-			}
-		}
-		return dst
-	}
-	for j, col := range d.fair {
-		var s float64
-		for _, i := range idx {
-			s += col[i]
-		}
-		dst[j] = s / cnt
+	for j := range sum {
+		sum[j] /= cnt
 	}
 	return dst
+}
+
+// AddFairRows adds the fairness row of every object of idx to sum
+// (length NumFair), each dimension in idx order, and returns sum,
+// allocating nothing. The descent step's centroids and the evaluator's
+// prefix centroid fold both sum through it.
+//
+// Once the combo-row index exists (see BuiltComboIndex) it reads each
+// object's combo row, a few cache-resident bytes, instead of NumFair
+// random reads across the columns, and keeps four dimensions (then two,
+// then one) in registers per pass over idx, so their additions overlap
+// instead of waiting on one another. A combo row is bitwise equal to the
+// object's column values and each dimension sees the same additions in
+// the same order, so both routes return the same bits.
+func (d *Dataset) AddFairRows(idx []int, sum []float64) []float64 {
+	comboOf, reps, _, ok := d.BuiltComboIndex()
+	if !ok {
+		for j, col := range d.fair {
+			s := sum[j]
+			for _, i := range idx {
+				s += col[i]
+			}
+			sum[j] = s
+		}
+		return sum
+	}
+	dims, j := len(d.fair), 0
+	for ; j+4 <= dims; j += 4 {
+		s0, s1, s2, s3 := sum[j], sum[j+1], sum[j+2], sum[j+3]
+		for _, i := range idx {
+			r := reps[dims*int(comboOf[i])+j:][:4]
+			s0 += r[0]
+			s1 += r[1]
+			s2 += r[2]
+			s3 += r[3]
+		}
+		sum[j], sum[j+1], sum[j+2], sum[j+3] = s0, s1, s2, s3
+	}
+	if j+2 <= dims {
+		s0, s1 := sum[j], sum[j+1]
+		for _, i := range idx {
+			r := reps[dims*int(comboOf[i])+j:][:2]
+			s0 += r[0]
+			s1 += r[1]
+		}
+		sum[j], sum[j+1] = s0, s1
+		j += 2
+	}
+	if j < dims {
+		s := sum[j]
+		for _, i := range idx {
+			s += reps[dims*int(comboOf[i])+j]
+		}
+		sum[j] = s
+	}
+	return sum
 }
 
 // Subset returns a new dataset containing the objects at the given indices,
@@ -396,8 +394,9 @@ const MaxCombos = 2048
 // is bitwise equal to object i's column values. That is the invariant
 // the combo-run merge ranking relies on (members of a combo receive
 // identical bonus totals under every bonus vector), and the one that lets
-// the descent step's scoring and centroids read a row of the small reps
-// table instead of NumFair large columns.
+// the descent step's scoring and centroids, and the evaluator's prefix
+// folds (see BuiltComboIndex), read a row of the small reps table instead
+// of NumFair large columns.
 //
 // The index is built on the first call and kept for the dataset's
 // lifetime; later calls, from any goroutine, return the same slices,
@@ -407,6 +406,29 @@ func (d *Dataset) ComboIndex() (comboOf []int32, reps []float64, ok bool) {
 	d.comboOnce.Do(func() { d.combos.Store(d.buildCombos()) })
 	ci := d.combos.Load()
 	return ci.comboOf, ci.reps, ci.ok
+}
+
+// MaxMaskDims is the most fairness attributes a combo's membership mask
+// covers: one bit per attribute in a uint64.
+const MaxMaskDims = 64
+
+// BuiltComboIndex returns the combo-row index once a ComboIndex call has
+// built it, without building it: ok is false before that call and when
+// the index declined, so a one-off pass over a fresh dataset pays for no
+// build. Besides ComboIndex's comboOf and reps it returns one membership
+// mask per combo, built with the index: bit j of masks[c] is set when
+// attribute j of combo c's row exceeds 0.5, the group membership every
+// binary metric tests. masks is nil when the dataset has more than
+// MaxMaskDims fairness attributes. The evaluator's prefix folds read an
+// object's row or mask through comboOf, one small lookup in place of
+// NumFair reads across the columns; since a row is bitwise equal to the
+// object's column values, both routes give the same bits. None of the
+// slices may be modified.
+func (d *Dataset) BuiltComboIndex() (comboOf []int32, reps []float64, masks []uint64, ok bool) {
+	if ci := d.combos.Load(); ci != nil && ci.ok {
+		return ci.comboOf, ci.reps, ci.masks, true
+	}
+	return nil, nil, nil, false
 }
 
 // comboSlots is the size of buildCombos' open-addressed table: a power of
@@ -421,7 +443,7 @@ func (d *Dataset) buildCombos() *comboIndex {
 	comboOf := make([]int32, d.n)
 	if dims == 0 {
 		// No fairness attributes: every object is the single empty combo.
-		return &comboIndex{comboOf: comboOf, reps: []float64{}, ok: true}
+		return &comboIndex{comboOf: comboOf, reps: []float64{}, masks: []uint64{0}, ok: true}
 	}
 	// Combo ids (plus one; 0 marks an empty slot) in an open-addressed
 	// table keyed by a multiplicative hash of the row's bits. A probe
@@ -456,7 +478,18 @@ func (d *Dataset) buildCombos() *comboIndex {
 			slot = (slot + 1) & (comboSlots - 1)
 		}
 	}
-	return &comboIndex{comboOf: comboOf, reps: reps[:len(reps):len(reps)], ok: true}
+	ci := &comboIndex{comboOf: comboOf, reps: reps[:len(reps):len(reps)], ok: true}
+	if dims <= MaxMaskDims {
+		ci.masks = make([]uint64, len(reps)/dims)
+		for c := range ci.masks {
+			for j, v := range reps[c*dims : (c+1)*dims] {
+				if v > 0.5 {
+					ci.masks[c] |= 1 << j
+				}
+			}
+		}
+	}
+	return ci
 }
 
 // rowIs reports whether object i's fairness row is bitwise equal to row.

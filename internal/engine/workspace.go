@@ -22,6 +22,7 @@ type Workspace struct {
 	smp  []int     // per-step sample index buffer
 	cnt  []int     // prefix-count rows (sweep engine: group counts per cut)
 	mark []bool    // absolute-id membership marks (kept all-false between uses)
+	bits []uint64  // bitmap scratch (cleared on every Bits call)
 
 	merge rank.MergeScratch // combo-run merge state (heap, cursors, offsets)
 }
@@ -119,6 +120,19 @@ func (w *Workspace) Marks(n int) []bool {
 		w.mark = make([]bool, n)
 	}
 	return w.mark[:n]
+}
+
+// Bits returns a bitmap scratch of the given number of 64-bit words, all
+// zero: clearing it costs one word per 64 ids, so callers need not reset
+// the bits they set.
+func (w *Workspace) Bits(words int) []uint64 {
+	if cap(w.bits) < words {
+		w.bits = make([]uint64, words)
+		return w.bits
+	}
+	w.bits = w.bits[:words]
+	clear(w.bits)
+	return w.bits
 }
 
 func growFloats(b []float64, n int) []float64 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"fairrank/internal/dataset"
 )
@@ -174,18 +175,28 @@ func TopKFromCounts(inPrefix, prefix, inPop, pop int) float64 {
 // group-inner, the same additions in the same order, merely resumed across
 // segment boundaries. The loop is object-outer (unlike the column-outer
 // centroid fold) because the trailing rest group needs a per-object
-// "member of no group" test.
+// "member of no group" test; on the combo-row route an object's groups
+// are the set bits of its combo's mask, and an empty mask is the rest.
 func PrefixExposureInto(d *dataset.Dataset, order []int, cuts []int, sum, dst []float64) []float64 {
 	g := d.NumFair() + 1
 	cols := d.FairColumns()
-	for j := 0; j < g; j++ {
-		sum[j] = 0
-	}
+	comboOf, masks, indexed := maskIndex(d)
+	clear(sum[:g])
 	prev := 0
 	for c, cut := range cuts {
 		for pos := prev; pos < cut; pos++ {
 			i := order[pos]
 			w := 1 / math.Log2(float64(pos)+2)
+			if indexed {
+				m := masks[comboOf[i]]
+				if m == 0 {
+					sum[g-1] += w
+				}
+				for ; m != 0; m &= m - 1 {
+					sum[bits.TrailingZeros64(m)] += w
+				}
+				continue
+			}
 			inAny := false
 			for j, col := range cols {
 				if col[i] > 0.5 {
@@ -212,15 +223,14 @@ func PrefixExposureInto(d *dataset.Dataset, order []int, cuts []int, sum, dst []
 func PrefixExposureCountsInto(d *dataset.Dataset, order []int, cuts []int, dst []int) []int {
 	g := d.NumFair() + 1
 	cols := d.FairColumns()
+	comboOf, masks, indexed := maskIndex(d)
 	prev := 0
 	for c, cut := range cuts {
-		row := dst[c*g : (c+1)*g]
-		if c == 0 {
-			for j := range row {
-				row[j] = 0
-			}
-		} else {
-			copy(row, dst[(c-1)*g:c*g])
+		row := carryRow(dst, c, g)
+		if indexed {
+			row[g-1] += countMasks(row[:g-1], order[prev:cut], comboOf, masks)
+			prev = cut
+			continue
 		}
 		for _, i := range order[prev:cut] {
 			inAny := false

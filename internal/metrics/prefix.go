@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/bits"
 
 	"fairrank/internal/dataset"
 )
@@ -16,6 +17,16 @@ import (
 // close (floating-point addition is order-sensitive; the order here is
 // identical by construction).
 
+// The fold routes. Once the dataset's combo-row index exists
+// (dataset.BuiltComboIndex; an evaluator builds it), the centroid fold
+// reads each ranked object's combo row and the membership folds its
+// combo's mask, one lookup in a table of at most MaxCombos entries
+// through comboOf, in place of NumFair random reads across the columns.
+// A row is bitwise equal to the object's column values and a mask bit is
+// the column compare v > 0.5, so each fold performs the same additions to
+// the same accumulators in the same order on both routes. A dataset whose
+// index is not built, or declined, keeps the column loops.
+
 // PrefixCentroidInto computes the fairness centroid of order[:cut] for
 // every cut in cuts (ascending, each in [1, len(order)]): sum is a
 // running-sum scratch of length NumFair and dst receives the centroid rows
@@ -26,17 +37,12 @@ import (
 // segment boundaries.
 func PrefixCentroidInto(d *dataset.Dataset, order []int, cuts []int, sum, dst []float64) []float64 {
 	dims := d.NumFair()
-	for j := 0; j < dims; j++ {
-		sum[j] = 0
-	}
+	sum = sum[:dims]
+	clear(sum)
 	prev := 0
 	for c, cut := range cuts {
-		for j, col := range d.FairColumns() {
-			s := sum[j]
-			for _, i := range order[prev:cut] {
-				s += col[i]
-			}
-			sum[j] = s
+		d.AddFairRows(order[prev:cut], sum)
+		for j, s := range sum {
 			dst[c*dims+j] = s / float64(cut)
 		}
 		prev = cut
@@ -44,31 +50,85 @@ func PrefixCentroidInto(d *dataset.Dataset, order []int, cuts []int, sum, dst []
 	return dst
 }
 
+// maskIndex returns the combo-row index's comboOf and membership masks
+// when the membership folds can read them: the index is built and the
+// masks cover every attribute.
+func maskIndex(d *dataset.Dataset) (comboOf []int32, masks []uint64, ok bool) {
+	comboOf, _, masks, ok = d.BuiltComboIndex()
+	return comboOf, masks, ok && masks != nil
+}
+
+// countMasks adds bit j of the membership mask of every object of seg to
+// row[j] (length NumFair) and returns how many of those objects have an
+// empty mask, the members of no group. It keeps four counters in
+// registers per pass over seg, so their additions overlap; a mask has no
+// bit at or above NumFair, so a pass's spare counters count nothing.
+func countMasks(row []int, seg []int, comboOf []int32, masks []uint64) (empty int) {
+	if len(row) == 0 {
+		return len(seg)
+	}
+	for j := 0; j < len(row); j += 4 {
+		var n [4]int
+		for _, i := range seg {
+			m := masks[comboOf[i]]
+			if j == 0 {
+				empty += b2i(m == 0)
+			}
+			m >>= j
+			n[0] += int(m & 1)
+			n[1] += int(m >> 1 & 1)
+			n[2] += int(m >> 2 & 1)
+			n[3] += int(m >> 3 & 1)
+		}
+		for k, v := range n[:min(4, len(row)-j)] {
+			row[j+k] += v
+		}
+	}
+	return empty
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// carryRow returns count row c of dst (width w), starting from row c-1's
+// counts, or from zero for the first row.
+func carryRow(dst []int, c, w int) []int {
+	row := dst[c*w : (c+1)*w]
+	if c == 0 {
+		clear(row)
+	} else {
+		copy(row, dst[(c-1)*w:c*w])
+	}
+	return row
+}
+
 // PrefixGroupCountsInto counts, for every cut in cuts (ascending), the
 // objects in order[:cut] belonging to each binary fairness group
 // (attribute value > 0.5): dst receives the count rows flattened (row c at
-// dst[c*dims:(c+1)*dims]). It allocates nothing and returns dst. Counts are integers, so exactness
-// needs no fold argument.
+// dst[c*dims:(c+1)*dims]). It allocates nothing and returns dst. Counts
+// are integers, so exactness needs no fold argument.
 func PrefixGroupCountsInto(d *dataset.Dataset, order []int, cuts []int, dst []int) []int {
 	dims := d.NumFair()
+	comboOf, masks, indexed := maskIndex(d)
 	prev := 0
 	for c, cut := range cuts {
-		row := dst[c*dims : (c+1)*dims]
-		if c == 0 {
-			for j := range row {
-				row[j] = 0
-			}
+		row := carryRow(dst, c, dims)
+		if indexed {
+			countMasks(row, order[prev:cut], comboOf, masks)
 		} else {
-			copy(row, dst[(c-1)*dims:c*dims])
-		}
-		for j, col := range d.FairColumns() {
-			n := row[j]
-			for _, i := range order[prev:cut] {
-				if col[i] > 0.5 {
-					n++
+			for j, col := range d.FairColumns() {
+				n := row[j]
+				for _, i := range order[prev:cut] {
+					if col[i] > 0.5 {
+						n++
+					}
 				}
+				row[j] = n
 			}
-			row[j] = n
 		}
 		prev = cut
 	}
@@ -82,30 +142,32 @@ func PrefixGroupCountsInto(d *dataset.Dataset, order []int, cuts []int, dst []in
 // counts. The dataset must carry outcomes. It allocates nothing.
 func PrefixFPCountsInto(d *dataset.Dataset, order []int, cuts []int, dst, dstAll []int) {
 	dims := d.NumFair()
+	comboOf, masks, indexed := maskIndex(d)
 	prev := 0
 	overall := 0
 	for c, cut := range cuts {
-		row := dst[c*dims : (c+1)*dims]
-		if c == 0 {
-			for j := range row {
-				row[j] = 0
-			}
-		} else {
-			copy(row, dst[(c-1)*dims:c*dims])
-		}
+		row := carryRow(dst, c, dims)
 		for _, i := range order[prev:cut] {
-			if !d.Outcome(i) {
-				overall++
+			if d.Outcome(i) {
+				continue
 			}
-		}
-		for j, col := range d.FairColumns() {
-			n := row[j]
-			for _, i := range order[prev:cut] {
-				if col[i] > 0.5 && !d.Outcome(i) {
-					n++
+			overall++
+			if indexed {
+				for m := masks[comboOf[i]]; m != 0; m &= m - 1 {
+					row[bits.TrailingZeros64(m)]++
 				}
 			}
-			row[j] = n
+		}
+		if !indexed {
+			for j, col := range d.FairColumns() {
+				n := row[j]
+				for _, i := range order[prev:cut] {
+					if col[i] > 0.5 && !d.Outcome(i) {
+						n++
+					}
+				}
+				row[j] = n
+			}
 		}
 		dstAll[c] = overall
 		prev = cut

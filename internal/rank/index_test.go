@@ -130,12 +130,11 @@ func TestEffectiveScoresIndexDifferential(t *testing.T) {
 	}
 }
 
-// TestEffectiveScoresEachAndAt pins the all-ids form and the scatter form
-// to the column route bit for bit: every object in id order, and a random
-// id list whose scores land at their ids while every other entry keeps
-// its sentinel. Populations below, at and above one id chunk cover the
-// no-index path, and a population smaller than 3g covers an indexed
-// cohort that EffectiveScores would score per object.
+// TestEffectiveScoresEachAndAt pins the all-ids form and the one-id form
+// to the column route bit for bit: every object in id order, and each id
+// of a random id list scored alone. Populations below, at and above one
+// id chunk cover the no-index path, and a population smaller than 3g
+// covers an indexed cohort that EffectiveScores would score per object.
 func TestEffectiveScoresEachAndAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, dims := range []int{2, 3, 4, 6} {
@@ -150,30 +149,15 @@ func TestEffectiveScoresEachAndAt(t *testing.T) {
 				for _, pol := range []Polarity{Beneficial, Adverse} {
 					want := refColumnScores(d, base, all, bonus, pol)
 					got := EffectiveScoresEach(d, base, bonus, pol, nil)
-					ids := make([]int, rng.Intn(n+1))
-					for r := range ids {
-						ids[r] = rng.Intn(n)
-					}
-					sentinel := math.Float64frombits(0x7ff8dead)
-					at := make([]float64, n)
-					for i := range at {
-						at[i] = sentinel
-					}
-					EffectiveScoresAt(d, base, ids, bonus, pol, at)
-					listed := make([]bool, n)
-					for _, i := range ids {
-						listed[i] = true
-					}
 					for i := range want {
 						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 							t.Fatalf("dims=%d quantized=%v n=%d %v: Each scored object %d %v, column route %v", dims, quantized, n, pol, i, got[i], want[i])
 						}
-						wantAt := sentinel
-						if listed[i] {
-							wantAt = want[i]
-						}
-						if math.Float64bits(at[i]) != math.Float64bits(wantAt) {
-							t.Fatalf("dims=%d quantized=%v n=%d %v: At left %v at object %d, want %v", dims, quantized, n, pol, at[i], i, wantAt)
+					}
+					for range rng.Intn(n + 1) {
+						i := rng.Intn(n)
+						if at := EffectiveScoreAt(d, base, i, bonus, pol); math.Float64bits(at) != math.Float64bits(want[i]) {
+							t.Fatalf("dims=%d quantized=%v n=%d %v: At scored object %d %v, column route %v", dims, quantized, n, pol, i, at, want[i])
 						}
 					}
 				}

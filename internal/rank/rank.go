@@ -185,8 +185,8 @@ func comboTerms(reps []float64, dims int, bonus []float64, sign float64, buf []f
 	return t
 }
 
-// effChunk is how many ids EffectiveScoresEach and EffectiveScoresAt hand
-// to EffectiveScores at a time when the dataset has no combo-row index.
+// effChunk is how many ids EffectiveScoresEach hands to EffectiveScores at
+// a time when the dataset has no combo-row index.
 const effChunk = 256
 
 // EffectiveScoresEach is EffectiveScores over every object in id order,
@@ -219,27 +219,21 @@ func EffectiveScoresEach(d *dataset.Dataset, base, bonus []float64, pol Polarity
 	return dst
 }
 
-// EffectiveScoresAt writes the effective score of every object listed in
-// ids to dst[id] (dst has length d.N()), bit-identical to what
-// EffectiveScores computes for it, and leaves every other entry alone.
-// With a combo-row index each object costs one add to its combo's term.
-func EffectiveScoresAt(d *dataset.Dataset, base []float64, ids []int, bonus []float64, pol Polarity, dst []float64) {
-	if comboOf, reps, ok := d.ComboIndex(); ok && d.NumFair() > 0 {
-		var terms [dataset.MaxCombos]float64
-		t := comboTerms(reps, d.NumFair(), bonus, pol.Sign(), terms[:])
-		for _, i := range ids {
-			dst[i] = base[i] + t[comboOf[i]]
-		}
-		return
+// EffectiveScoreAt returns the effective score of object i, bit-identical
+// to what EffectiveScores computes for it: base[i] plus bonusTerm of its
+// fairness row, the combo row when the dataset has a combo-row index and
+// the column values otherwise. It allocates nothing, so a reader that
+// needs a handful of scores pays for those alone.
+func EffectiveScoreAt(d *dataset.Dataset, base []float64, i int, bonus []float64, pol Polarity) float64 {
+	sign, dims := pol.Sign(), d.NumFair()
+	if comboOf, reps, ok := d.ComboIndex(); ok && dims > 0 {
+		return base[i] + bonusTerm(reps[dims*int(comboOf[i]):][:dims], bonus, sign)
 	}
-	var eff [effChunk]float64
-	for lo := 0; lo < len(ids); lo += effChunk {
-		chunk := ids[lo:min(lo+effChunk, len(ids))]
-		EffectiveScores(d, base, chunk, bonus, pol, eff[:len(chunk)])
-		for r, i := range chunk {
-			dst[i] = eff[r]
-		}
+	if dims >= 2 && dims <= 4 {
+		var row [4]float64
+		return base[i] + bonusTerm(d.FairRow(i, row[:dims]), bonus, sign)
 	}
+	return base[i] + sign*d.FairDot(i, bonus)
 }
 
 // effectiveFromCombos is EffectiveScores over the combo-row index: object
